@@ -66,9 +66,9 @@ from repro.plans import (  # noqa: E402  (needs __version__ for provenance)
     RecordingNetwork,
     capture_transpose,
     plan_key,
-    replay_degraded,
     replay_plan,
     run_batch,
+    serve,
 )
 from repro.obs import (  # noqa: E402
     ChromeTraceSink,
@@ -126,13 +126,13 @@ __all__ = [
     "parse_topology",
     "plan_key",
     "plan_surgery",
-    "replay_degraded",
     "replay_plan",
     "row_consecutive",
     "row_cyclic",
     "run_batch",
     "run_chaos",
     "select_algorithm",
+    "serve",
     "transpose",
     "two_dim_consecutive",
     "two_dim_cyclic",

@@ -183,20 +183,20 @@ def _run_workload(args, topo) -> int:
 
     served = None
     if faults is not None:
-        # Pipelines have no degradation ladder; faulted runs go through
-        # the checkpointed recovery executor, exactly like the server.
-        from repro.plans.cache import PlanCache
+        # The request path, exactly like the server: a faulted pipeline
+        # has no degradation ladder, so it is served by checkpointed
+        # recovery alone and fails if that cannot verify.
+        from repro.plans.batch import BatchRequest, resolve_request
+        from repro.plans.serve import serve
         from repro.recovery import RecoveryFailedError
-        from repro.workloads import serve_workload
 
+        resolved = resolve_request(BatchRequest(
+            elements=args.elements, n=args.n, layout=args.layout,
+            machine=args.machine, tau=args.tau, t_c=args.t_c,
+            n_port=args.n_port, faults=args.faults, workload=args.workload,
+        ))
         try:
-            served = serve_workload(
-                pipeline,
-                _machine(args),
-                faults=faults,
-                cache=PlanCache(),
-                observer=instr,
-            )
+            served = serve(resolved, observer=instr)
         except (FaultError, RoutingStalledError, RecoveryFailedError) as exc:
             print(f"workload failed under faults: {exc}", file=sys.stderr)
             return 1

@@ -2,7 +2,7 @@
 
 All of them are :class:`~repro.machine.faults.FaultError` subclasses with
 ``kind = FaultKind.PERMANENT``, so every consumer that already dispatches
-on fail-stop faults — the planner's reactive ladder, ``replay_degraded``,
+on fail-stop faults — the planner's reactive ladder, ``serve``'s stages,
 ``execute_with_recovery`` — handles detected corruption with zero new
 control flow: an unrecoverable corrupted delivery *is* a permanent fault
 of the offending link (it has just been quarantined).

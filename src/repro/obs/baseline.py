@@ -46,8 +46,8 @@ class BaselineScenario:
 
     ``faults`` is a :meth:`~repro.machine.faults.FaultPlan.from_spec`
     string (seeded specs are deterministic); ``cached`` routes the run
-    through :func:`~repro.plans.replay.replay_degraded` with a plan
-    cache, exercising capture + replay instead of direct execution;
+    through :func:`~repro.plans.serve.serve` with a plan cache,
+    exercising capture + replay instead of direct execution;
     ``recovery`` (a :meth:`~repro.recovery.policy.RecoveryPolicy.from_spec`
     string) serves the scenario resume-based — checkpoints, rollbacks
     and plan surgery are then part of the pinned counters.
@@ -78,10 +78,9 @@ class BaselineScenario:
     #: non-cube scenarios pin the routed-universal path per topology.
     topology: str = "cube"
     #: Composite-pipeline spec (``repro.workloads`` grammar).  When set
-    #: the scenario is served through
-    #: :func:`repro.workloads.serve_workload` (cached compile + replay,
-    #: recovery-based when ``faults``/``recovery`` are given) and
-    #: ``elements``/``algorithm`` are descriptive only.
+    #: the scenario is served through :func:`repro.plans.serve.serve`
+    #: (cached compile + replay, recovery-based when ``faults`` are
+    #: given) and ``elements``/``algorithm`` are descriptive only.
     workload: str | None = None
 
     def describe(self) -> dict:
@@ -175,16 +174,6 @@ DEFAULT_SUITE: tuple[BaselineScenario, ...] = (
 )
 
 
-def _params_for(scenario: BaselineScenario, perturb=None):
-    from repro.machine.presets import connection_machine, intel_ipsc
-
-    factory = {"ipsc": intel_ipsc, "cm": connection_machine}[scenario.machine]
-    params = factory(scenario.n)
-    if perturb is not None:
-        params = perturb(params)
-    return params
-
-
 def run_scenario(
     scenario: BaselineScenario,
     *,
@@ -200,14 +189,6 @@ def run_scenario(
     to every network the scenario creates, so a baseline run can double
     as a trace-export run.
     """
-    from repro.machine.engine import CubeNetwork
-    from repro.machine.faults import FaultPlan
-    from repro.plans.batch import resolve_problem
-    from repro.plans.cache import PlanCache
-    from repro.plans.recorder import synthetic_matrix
-    from repro.plans.replay import replay_degraded
-    from repro.transpose.planner import transpose
-
     if scenario.service is not None:
         # Serving-layer scenario: the counters come from a frozen-clock
         # single-worker run, so perturb/observer do not apply here.
@@ -222,120 +203,78 @@ def run_scenario(
             LoadSpec.from_dict(doc.get("spec", {})),
             ServerConfig.from_dict(doc.get("config", {})),
         )
-
-    if scenario.workload is not None:
-        # Composite-pipeline scenario: cached compile + one serve, the
-        # same path the server's workers take.
-        from repro.workloads import build_pipeline, serve_workload
-
-        params = _params_for(scenario, perturb)
-        pipeline = build_pipeline(
-            scenario.workload, scenario.n, layout=scenario.layout
-        )
-        faults = (
-            FaultPlan.from_spec(scenario.n, scenario.faults)
-            if scenario.faults
-            else None
-        )
-        recovery = None
-        if scenario.recovery is not None:
-            from repro.recovery import RecoveryPolicy
-
-            recovery = RecoveryPolicy.from_spec(scenario.recovery)
-        served = serve_workload(
-            pipeline,
-            params,
-            faults=faults,
-            cache=PlanCache(),
-            observer=observer,
-            recovery=recovery,
-        )
-        counters = {
-            k: v
-            for k, v in served.stats.as_dict().items()
-            if k not in _NON_SCALAR
-        }
-        counters["algorithm_tier"] = served.algorithm
-        if served.recovery is not None:
-            counters["resolved"] = served.resolved
-        return counters
-
-    from repro.topology import parse_topology
-
-    params = _params_for(scenario, perturb)
-    topo = parse_topology(scenario.topology, scenario.n)
-    on_cube = topo.name == "cube"
-    before, after = resolve_problem(
-        scenario.n, scenario.elements, scenario.layout
-    )
-    faults = (
-        FaultPlan.from_spec(
-            scenario.n,
-            scenario.faults,
-            topology=None if on_cube else topo,
-        )
-        if scenario.faults
-        else None
-    )
-
-    if scenario.cached:
-        recovery = None
-        if scenario.recovery is not None:
-            from repro.recovery import RecoveryPolicy
-
-            recovery = RecoveryPolicy.from_spec(scenario.recovery)
-        cache = PlanCache()
-        outcome = replay_degraded(
-            params,
-            before,
-            after,
-            faults=faults
-            if faults is not None
-            else FaultPlan.from_spec(
-                scenario.n,
-                "seed=0",
-                topology=None if on_cube else topo,
-            ),
-            algorithm=scenario.algorithm,
-            cache=cache,
-            observer=observer,
-            recovery=recovery,
-            topology=topo,
-        )
-        stats, algorithm = outcome.stats, outcome.algorithm
-        if outcome.recovery is not None:
-            resolved = outcome.recovery.resolved
-        else:
-            resolved = None
-    else:
-        integrity = None
-        if scenario.integrity:
-            from repro.integrity import IntegrityManager
-
-            integrity = IntegrityManager()
-        network = CubeNetwork(
-            params, faults=faults, integrity=integrity, topology=topo
-        )
-        if observer is not None:
-            network.observer = observer
-        result = transpose(
-            network,
-            synthetic_matrix(before),
-            after,
-            algorithm=scenario.algorithm,
-        )
-        stats, algorithm = result.stats, result.algorithm
-        resolved = None
-
+    stats, algorithm, served = _scenario_run(scenario, perturb, observer)
     counters = {
         k: v
         for k, v in stats.as_dict().items()
         if k not in _NON_SCALAR
     }
     counters["algorithm_tier"] = algorithm
-    if resolved is not None:
-        counters["resolved"] = resolved
+    # The label is pinned only where a recover stage ran.
+    if served is not None and served.recovery is not None:
+        counters["resolved"] = served.resolved
     return counters
+
+
+def _scenario_run(scenario: BaselineScenario, perturb=None, observer=None):
+    """``(stats, tier, served)`` of one non-service scenario.
+
+    Cached and workload scenarios take the request path
+    (:func:`repro.plans.serve.serve`) and ``served`` is its outcome; the
+    rest run the planner directly and ``served`` is ``None``.
+    """
+    from dataclasses import replace
+
+    from repro.machine.engine import CubeNetwork
+    from repro.plans.batch import BatchRequest, resolve_request
+    from repro.plans.cache import PlanCache
+    from repro.plans.recorder import synthetic_matrix
+    from repro.plans.serve import serve
+    from repro.topology import parse_topology
+    from repro.transpose.planner import transpose
+
+    resolved = resolve_request(BatchRequest(
+        elements=scenario.elements,
+        n=scenario.n,
+        layout=scenario.layout,
+        machine=scenario.machine,
+        algorithm=scenario.algorithm,
+        faults=scenario.faults,
+        topology=scenario.topology,
+        workload=scenario.workload,
+    ))
+    if perturb is not None:
+        resolved = replace(resolved, params=perturb(resolved.params))
+    if scenario.cached or scenario.workload is not None:
+        recovery = None
+        if scenario.recovery is not None:
+            from repro.recovery import RecoveryPolicy
+
+            recovery = RecoveryPolicy.from_spec(scenario.recovery)
+        served = serve(
+            resolved, cache=PlanCache(), recovery=recovery, observer=observer
+        )
+        return served.stats, served.algorithm, served
+    integrity = None
+    if scenario.integrity:
+        from repro.integrity import IntegrityManager
+
+        integrity = IntegrityManager()
+    network = CubeNetwork(
+        resolved.params,
+        faults=resolved.faults,
+        integrity=integrity,
+        topology=parse_topology(scenario.topology, scenario.n),
+    )
+    if observer is not None:
+        network.observer = observer
+    result = transpose(
+        network,
+        synthetic_matrix(resolved.before),
+        resolved.after,
+        algorithm=scenario.algorithm,
+    )
+    return result.stats, result.algorithm, None
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,7 @@ class NullInstrumentation:
     __slots__ = ()
 
     enabled = False
+    traced = False
 
     def span(self, name, category="span", *, wall_start=None, **attrs):
         return _NULL_SPAN
@@ -235,6 +236,11 @@ class Instrumentation:
 
     def _trace_id(self) -> str | None:
         return self._traces[-1].trace_id if self._traces else None
+
+    @property
+    def traced(self) -> bool:
+        """True inside a request's trace scope (see :meth:`in_trace`)."""
+        return bool(self._traces)
 
     def in_trace(self, context) -> "_TraceScope":
         """Scope every span/event opened inside to ``context``.

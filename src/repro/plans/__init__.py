@@ -11,7 +11,9 @@ from repro.plans.batch import (
     BatchOutcome,
     BatchReport,
     BatchRequest,
+    ResolvedRequest,
     resolve_problem,
+    resolve_request,
     run_batch,
 )
 from repro.plans.cache import PlanCache, plan_key
@@ -38,12 +40,8 @@ from repro.plans.recorder import (
     capture_transpose,
     synthetic_matrix,
 )
-from repro.plans.replay import (
-    DegradedReplay,
-    PlanReplayError,
-    replay_degraded,
-    replay_plan,
-)
+from repro.plans.replay import PlanReplayError, replay_plan, run_ops
+from repro.plans.serve import Served, escalation, serve
 from repro.plans.symbolic import (
     SymbolicError,
     SymbolicState,
@@ -59,7 +57,6 @@ __all__ = [
     "CollectOp",
     "CompiledPlan",
     "CopyOp",
-    "DegradedReplay",
     "IdleOp",
     "LayoutSpec",
     "LocalOp",
@@ -73,17 +70,22 @@ __all__ = [
     "PlanReplayError",
     "RecordingNetwork",
     "RemapOp",
+    "ResolvedRequest",
+    "Served",
     "SymbolicError",
     "SymbolicState",
     "canonical_key",
     "capture_permutation",
     "capture_transpose",
+    "escalation",
     "holdings_to_symbolic",
     "plan_key",
-    "replay_degraded",
     "replay_plan",
     "resolve_problem",
+    "resolve_request",
     "run_batch",
+    "run_ops",
+    "serve",
     "simulate_ops",
     "synthetic_matrix",
 ]

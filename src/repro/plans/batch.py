@@ -1,8 +1,11 @@
 """Serve many transpose requests through the plan cache.
 
-This is the plan-once/replay-many surface: each request is resolved to a
-content address (:func:`~repro.plans.cache.plan_key`); on a miss the
-schedule is captured once from a real run, on a hit the cached
+This is the plan-once/replay-many surface, and home of the one request
+resolver (:func:`resolve_request`) the batch runner, the server and the
+load generator share: each request is resolved to a tier and a content
+address (:func:`~repro.plans.cache.plan_key`), then served by
+:func:`repro.plans.serve.serve` — on a miss the schedule is captured
+once from a real run, on a hit the cached
 :class:`~repro.plans.ir.CompiledPlan` replays on a fresh network with no
 planning and no payload movement.  A second batch over the same request
 set is therefore served entirely from cache.
@@ -15,17 +18,17 @@ from time import perf_counter
 from typing import Iterable, Mapping
 
 from repro.layout.fields import Layout
-from repro.machine.engine import CubeNetwork
+from repro.machine.faults import FaultPlan
 from repro.machine.params import MachineParams
 from repro.plans.cache import PlanCache, plan_key
-from repro.plans.recorder import capture_transpose, synthetic_matrix
-from repro.plans.replay import replay_plan
 
 __all__ = [
     "BatchOutcome",
     "BatchReport",
     "BatchRequest",
+    "ResolvedRequest",
     "resolve_problem",
+    "resolve_request",
     "run_batch",
 ]
 
@@ -79,7 +82,7 @@ class BatchRequest:
     t_c: float = 1.0
     n_port: bool = False
     #: Optional fault scenario (``FaultPlan.from_spec`` syntax); faulted
-    #: requests are served through :func:`repro.plans.replay.replay_degraded`.
+    #: requests escalate through :func:`repro.plans.serve.serve`'s stages.
     faults: str | None = None
     #: Interconnect spec (``repro.topology.parse_topology`` syntax); the
     #: topology's node count must equal ``2**n``.
@@ -126,6 +129,116 @@ class BatchRequest:
 
 
 @dataclass(frozen=True)
+class ResolvedRequest:
+    """A request after one-time resolution: machine, layouts, tier, key."""
+
+    #: The request as submitted: a :class:`BatchRequest`, or a served
+    #: request wrapping one as ``.problem``.
+    request: object
+    params: MachineParams
+    before: Layout
+    #: Explicit target layout (``None`` keeps the planner's default).
+    after: Layout | None
+    #: Concrete tier: ``auto`` resolved through §9 selection and the
+    #: capability floor applied (see :func:`repro.transpose.planner.resolve_tier`);
+    #: the canonical ``pipeline:...`` algorithm for workload requests.
+    algorithm: str
+    key: str
+    #: True matrix elements (the unpadded shape for workloads).
+    elements: int
+    #: Canonical interconnect spec.  It is re-parsed per serve so no
+    #: Topology instance (or its mutable BFS distance cache) is ever
+    #: shared across worker threads.
+    topology: str = "cube"
+    #: Canonical composite-pipeline spec for ``workload=`` requests
+    #: (``None`` for ordinary transposes).
+    workload: str | None = None
+    #: The parsed fault scenario (``None`` when fault-free).  Each serve
+    #: runs on a :meth:`~repro.machine.faults.FaultPlan.fork` of it.
+    faults: FaultPlan | None = None
+    #: Trace identity minted by the server at submission (``None`` when
+    #: tracing is off); the worker opens the request's root span in it.
+    trace: object | None = None
+    #: Wall seconds spent in admission-time resolution — the worker
+    #: backdates the trace's admission leaf by this much.
+    resolve_s: float = 0.0
+
+    @property
+    def problem(self) -> BatchRequest:
+        return getattr(self.request, "problem", self.request)
+
+
+def resolve_request(request) -> ResolvedRequest:
+    """Map a request to machine/layouts/tier/plan-key, validating it.
+
+    ``request`` is a :class:`BatchRequest` or a served request carrying
+    one as ``.problem``.  Raises :class:`ValueError` on malformed
+    problems (bad element counts, unknown layouts, machines, topologies,
+    workload or fault specs), so callers reject at admission rather
+    than fail mid-serve.  The capability floor is applied here: a
+    cube-only tier on another topology resolves to ``routed-universal``
+    and is not a fault degradation.
+    """
+    from repro.topology import parse_topology
+    from repro.transpose.planner import default_after_layout, resolve_tier
+
+    problem = getattr(request, "problem", request)
+    params = problem.machine_params()
+    topo = parse_topology(problem.topology, problem.n)
+    if topo.num_nodes != 1 << problem.n:
+        raise ValueError(
+            f"topology {topo.spec!r} has {topo.num_nodes} nodes but the "
+            f"request needs 2^{problem.n} = {1 << problem.n}"
+        )
+    on_cube = topo.name == "cube"
+    if problem.workload:
+        from repro.workloads import build_pipeline
+
+        if not on_cube:
+            raise ValueError(
+                "workload pipelines require the cube topology "
+                f"(requested {topo.spec!r})"
+            )
+        pipeline = build_pipeline(
+            problem.workload,
+            problem.n,
+            layout=problem.layout,
+            elements=problem.elements,
+        )
+        before, after = pipeline.before, pipeline.after
+        algorithm = pipeline.algorithm
+        key = pipeline.key(params)
+        elements = pipeline.shape.rows * pipeline.shape.cols
+    else:
+        before, after = resolve_problem(
+            problem.n, problem.elements, problem.layout
+        )
+        target = after if after is not None else default_after_layout(before)
+        algorithm = resolve_tier(
+            problem.algorithm, before, target, params.port_model, topo
+        )
+        key = plan_key(params, before, target, algorithm, topology=topo.spec)
+        elements = problem.elements
+    faults = None
+    if problem.faults:
+        faults = FaultPlan.from_spec(
+            problem.n, problem.faults, topology=None if on_cube else topo
+        )
+    return ResolvedRequest(
+        request=request,
+        params=params,
+        before=before,
+        after=after,
+        algorithm=algorithm,
+        key=key,
+        elements=elements,
+        topology=topo.spec,
+        workload=pipeline.spec if problem.workload else None,
+        faults=faults,
+    )
+
+
+@dataclass(frozen=True)
 class BatchOutcome:
     """What happened to one request."""
 
@@ -141,6 +254,9 @@ class BatchOutcome:
     #: Recovery accounting (``RecoveryReport.as_dict()``) when the
     #: request was served resume-based; None otherwise.
     recovery: dict | None = None
+    #: ``stats_fingerprint`` of the run — equal to a server's for the
+    #: same request.
+    fingerprint: str = ""
 
     def as_dict(self) -> dict:
         return {
@@ -153,6 +269,7 @@ class BatchOutcome:
             "key": self.key,
             "resolved": self.resolved,
             "recovery": self.recovery,
+            "fingerprint": self.fingerprint,
         }
 
 
@@ -225,170 +342,49 @@ class BatchReport:
         }
 
 
-def _serve_workload_request(
-    index: int,
-    req: BatchRequest,
-    params: MachineParams,
-    cache: PlanCache,
-    recovery,
-    started: float,
-) -> BatchOutcome:
-    """Serve one composite-pipeline request against the shared cache."""
-    from repro.machine.faults import FaultPlan
-    from repro.workloads import build_pipeline, serve_workload
-
-    pipeline = build_pipeline(
-        req.workload, req.n, layout=req.layout, elements=req.elements
-    )
-    faults = (
-        FaultPlan.from_spec(req.n, req.faults) if req.faults else None
-    )
-    served = serve_workload(
-        pipeline,
-        params,
-        faults=faults,
-        cache=cache,
-        recovery=recovery,
-    )
-    rec = served.recovery
-    return BatchOutcome(
-        index=index,
-        elements=pipeline.shape.rows * pipeline.shape.cols,
-        algorithm=served.algorithm,
-        cache_hit=served.cache_hit,
-        modelled_time=served.stats.time,
-        wall_seconds=perf_counter() - started,
-        key=pipeline.key(params),
-        resolved=served.resolved,
-        recovery=None if rec is None else rec.as_dict(),
-    )
-
-
 def run_batch(
     requests: Iterable[BatchRequest],
     *,
     cache: PlanCache | None = None,
     recovery=None,
 ) -> BatchReport:
-    """Execute every request, compiling on miss and replaying on hit.
+    """Serve every request through :func:`repro.plans.serve.serve`.
 
-    ``auto`` algorithms are resolved through the planner's §9 selection
-    *before* keying, so an explicit request for the same strategy and an
-    ``auto`` request share one cached plan.
-
-    A request carrying a ``faults`` spec is served through
-    :func:`repro.plans.replay.replay_degraded` against the same cache;
-    ``recovery`` (a :class:`~repro.recovery.policy.RecoveryPolicy`)
-    switches those requests to resume-based serving, and each outcome
-    then carries the recovery accounting.  Recovery applies to cube
-    requests only — plan surgery is cube-specific, so faulted requests
-    on other topologies always serve restart-based.
+    Requests are resolved with :func:`resolve_request` — ``auto`` goes
+    through the planner's §9 selection *before* keying, so an explicit
+    request for the same strategy and an ``auto`` request share one
+    cached plan — and served against the shared ``cache``, compiling on
+    miss and replaying on hit.  ``recovery`` (a
+    :class:`~repro.recovery.policy.RecoveryPolicy`) selects the
+    recover-then-ladder stages for faulted cube transposes and the
+    policy faulted pipelines recover under.  A request that no stage
+    can serve raises.
     """
-    from repro.topology import parse_topology, supported_algorithms
-    from repro.transpose.planner import default_after_layout, select_algorithm
+    from repro.plans.serve import serve
+    from repro.service.request import stats_fingerprint
 
     if cache is None:
         cache = PlanCache()
     report = BatchReport()
     for index, req in enumerate(requests):
         started = perf_counter()
-        params = req.machine_params()
-        topo = parse_topology(req.topology, req.n)
-        if topo.num_nodes != 1 << req.n:
-            raise ValueError(
-                f"topology {topo.spec!r} has {topo.num_nodes} nodes but the "
-                f"request needs 2^{req.n} = {1 << req.n}"
-            )
-        on_cube = topo.name == "cube"
-        if req.workload:
-            if not on_cube:
-                raise ValueError(
-                    "workload pipelines require the cube topology"
-                )
-            report.outcomes.append(
-                _serve_workload_request(
-                    index, req, params, cache, recovery, started
-                )
-            )
-            continue
-        before, after = resolve_problem(req.n, req.elements, req.layout)
-        target = after if after is not None else default_after_layout(before)
-        name = req.algorithm
-        if name == "auto":
-            name = select_algorithm(
-                before, target, params.port_model, topology=topo
-            )
-        elif name not in supported_algorithms(topo):
-            from repro.topology.capabilities import CUBE_ALGORITHMS
-
-            if name not in CUBE_ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}")
-            name = "routed-universal"
-        key = plan_key(params, before, target, name, topology=topo.spec)
-        if req.faults:
-            from repro.machine.faults import FaultPlan
-            from repro.plans.replay import replay_degraded
-
-            served = replay_degraded(
-                params,
-                before,
-                target,
-                faults=FaultPlan.from_spec(
-                    req.n,
-                    req.faults,
-                    topology=None if on_cube else topo,
-                ),
-                algorithm=name,
-                cache=cache,
-                recovery=recovery if on_cube else None,
-                topology=topo,
-            )
-            rec = served.recovery
-            report.outcomes.append(
-                BatchOutcome(
-                    index=index,
-                    elements=req.elements,
-                    algorithm=served.algorithm,
-                    cache_hit=served.cache_hit,
-                    modelled_time=served.stats.time,
-                    wall_seconds=perf_counter() - started,
-                    key=key,
-                    resolved=(
-                        rec.resolved
-                        if rec is not None
-                        else ("ladder" if not served.replayed else "degraded")
-                        if served.degraded
-                        else "clean"
-                    ),
-                    recovery=None if rec is None else rec.as_dict(),
-                )
-            )
-            continue
-        plan = cache.get(key)
-        hit = plan is not None
-        if hit:
-            network = CubeNetwork(params, topology=topo)
-            replay_plan(plan, network)
-            modelled = network.stats.time
-        else:
-            result, plan = capture_transpose(
-                params,
-                synthetic_matrix(before),
-                target,
-                algorithm=name,
-                topology=topo,
-            )
-            cache.put(key, plan)
-            modelled = result.stats.time
+        resolved = resolve_request(req)
+        served = serve(resolved, cache=cache, recovery=recovery)
         report.outcomes.append(
             BatchOutcome(
                 index=index,
-                elements=req.elements,
-                algorithm=plan.algorithm,
-                cache_hit=hit,
-                modelled_time=modelled,
+                elements=resolved.elements,
+                algorithm=served.algorithm,
+                cache_hit=served.cache_hit,
+                modelled_time=served.stats.time,
                 wall_seconds=perf_counter() - started,
-                key=key,
+                key=resolved.key,
+                resolved=served.resolved,
+                recovery=(
+                    None if served.recovery is None
+                    else served.recovery.as_dict()
+                ),
+                fingerprint=stats_fingerprint(served.stats),
             )
         )
     return report

@@ -17,7 +17,7 @@ re-performed by the replay executor.
 
 Capture runs on a healthy machine: the recorded schedule is the clean
 static schedule of the paper, which the fault-aware entry points
-(:func:`repro.plans.replay.replay_degraded`) then replay on faulted
+(:func:`repro.plans.serve.serve`) then replay on faulted
 networks after tier selection.
 """
 

@@ -10,33 +10,22 @@ payload movement).  Exclusive phases are replayed exclusively, so the
 paper's edge-disjointness lemmas are re-checked on every replay.
 
 A replay network may carry a :class:`~repro.machine.faults.FaultPlan`;
-deliveries over faulted resources raise the usual typed errors.
-:func:`replay_degraded` combines this with the PR 1 degradation ladder:
-it selects the surviving tier for a fault plan *without re-planning*,
-replays the cached plan of that tier, and only falls back to direct
-execution if a mid-replay fault aborts the schedule.
+deliveries over faulted resources raise the usual typed errors, which
+the serving path (:func:`repro.plans.serve.serve`) escalates on.
+
+:func:`run_ops` is the one op interpreter: plain replay and the
+checkpointed recovery executor
+(:func:`repro.recovery.executor.execute_with_recovery`) both step
+plans through it, so both get the per-message size check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Hashable, Mapping, Sequence
 
-from repro.layout.fields import Layout
 from repro.machine.engine import CubeNetwork
-from repro.machine.faults import (
-    DisconnectedCubeError,
-    FaultError,
-    FaultPlan,
-    RoutingStalledError,
-)
 from repro.machine.message import Block, Message
-from repro.machine.metrics import TransferStats
-from repro.machine.params import MachineParams
-from repro.obs.instrumentation import (
-    NULL_INSTRUMENTATION,
-    Instrumentation,
-    instrumentation_of,
-)
+from repro.obs.instrumentation import instrumentation_of
 from repro.plans.ir import (
     CollectOp,
     CompiledPlan,
@@ -45,10 +34,11 @@ from repro.plans.ir import (
     LocalOp,
     PhaseOp,
     PlaceOp,
+    PlanOp,
     RemapOp,
 )
 
-__all__ = ["DegradedReplay", "PlanReplayError", "replay_degraded", "replay_plan"]
+__all__ = ["PlanReplayError", "replay_plan", "run_ops"]
 
 
 class PlanReplayError(RuntimeError):
@@ -94,7 +84,6 @@ def replay_plan(
                 f"but the network interconnect is {network.topology.spec!r}"
             )
     start_time = network.stats.time
-    mask = 0
     if checkpoints is not None:
         network.checkpoints = checkpoints
     try:
@@ -105,49 +94,89 @@ def replay_plan(
             ops=len(plan.ops),
             fingerprint=plan.fingerprint[:12],
         ):
-            _replay_ops(plan, network, mask, verify_sizes)
+            run_ops(plan.ops, network, verify_sizes=verify_sizes)
     finally:
         if checkpoints is not None:
             network.checkpoints = None
     return network.stats.time - start_time
 
 
-def _replay_ops(
-    plan: CompiledPlan, network: CubeNetwork, mask: int, verify_sizes: bool
-) -> None:
-    for op in plan.ops:
+def run_ops(
+    ops: Sequence[PlanOp],
+    network: CubeNetwork,
+    *,
+    start: int = 0,
+    mask: int = 0,
+    verify_sizes: bool = True,
+    payloads: Mapping[Hashable, list] | None = None,
+    consumed: dict | None = None,
+    collected: dict | None = None,
+    after_op=None,
+) -> int:
+    """Execute ``ops[start:]`` under XOR relabeling ``mask``; returns the mask.
+
+    The one op interpreter.  A :class:`RemapOp` only changes the mask.
+    ``verify_sizes`` checks each message's element count against the
+    blocks its source holds.  ``payloads`` binds real arrays to
+    placements (a ledger of arrays per key, consumed in order and
+    counted in ``consumed``); without it blocks are virtual.
+    ``collected``, when given, receives ``key -> (node, block)`` for
+    every collected block.  ``after_op(next_index, mask, op)`` runs
+    after each op completes — the recovery executor's hook for its
+    cursor and checkpoints.
+    """
+    for index in range(start, len(ops)):
+        op = ops[index]
         if isinstance(op, PhaseOp):
             messages = [
                 Message(m.src ^ mask, m.dst ^ mask, m.keys)
                 for m in op.messages
             ]
             if verify_sizes:
+                memories = network.memories
                 for msg, pm in zip(messages, op.messages):
-                    have = _held_elements(network, msg.src, msg.keys)
-                    if have is not None and have != pm.elements:
+                    mem = memories[msg.src]
+                    try:
+                        have = sum([mem.get(key).size for key in msg.keys])
+                    except KeyError:
+                        continue  # the engine raises its canonical error
+                    if have != pm.elements:
                         raise PlanReplayError(
                             f"message {msg.src}->{msg.dst} carries {have} "
                             f"element(s) but the plan recorded {pm.elements}"
                         )
             network.execute_phase(messages, exclusive=op.exclusive)
         elif isinstance(op, PlaceOp):
-            network.place(
-                op.node ^ mask, Block(op.key, virtual_size=op.size)
-            )
+            node = op.node ^ mask
+            if payloads is None:
+                network.place(node, Block(op.key, virtual_size=op.size))
+            else:
+                ledger = payloads.get(op.key)
+                count = consumed.get(op.key, 0)
+                if ledger is None or count >= len(ledger):
+                    raise PlanReplayError(
+                        f"payload ledger has no array for placement "
+                        f"#{count + 1} of key {op.key!r}"
+                    )
+                network.place(node, Block(op.key, data=ledger[count]))
+                consumed[op.key] = count + 1
         elif isinstance(op, CollectOp):
-            network.memories[op.node ^ mask].pop(op.key)
+            node = op.node ^ mask
+            block = network.memories[node].pop(op.key)
+            if collected is not None:
+                collected[op.key] = (node, block)
         elif isinstance(op, CopyOp):
-            network.charge_copy({n ^ mask: c for n, c in op.per_node})
+            network.charge_copy({x ^ mask: c for x, c in op.per_node})
         elif isinstance(op, LocalOp):
             costs = (
                 op.costs
                 if isinstance(op.costs, float)
-                else {n ^ mask: c for n, c in op.costs}
+                else {x ^ mask: c for x, c in op.costs}
             )
             elements = (
                 op.elements
                 if op.elements is None or isinstance(op.elements, int)
-                else {n ^ mask: c for n, c in op.elements}
+                else {x ^ mask: c for x, c in op.elements}
             )
             network.execute_local(costs, elements)
         elif isinstance(op, IdleOp):
@@ -156,290 +185,6 @@ def _replay_ops(
             mask ^= op.mask
         else:
             raise PlanReplayError(f"unknown op in plan: {op!r}")
-
-
-def _held_elements(network: CubeNetwork, node: int, keys) -> int | None:
-    try:
-        return sum(network.memories[node].get(key).size for key in keys)
-    except KeyError:
-        return None  # let the engine raise its canonical error
-
-
-# -- fault-ladder integration ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DegradedReplay:
-    """Outcome of :func:`replay_degraded`."""
-
-    algorithm: str
-    requested: str
-    #: Tiers skipped by the proactive feasibility check, plus — if the
-    #: replay itself aborted on a fault — the tier whose replay failed.
-    skipped: tuple[str, ...]
-    stats: TransferStats
-    #: True when the cached/compiled plan replayed to completion; False
-    #: when a mid-replay fault forced a direct fault-tolerant run.
-    replayed: bool
-    #: True when the plan came out of the cache rather than a fresh capture.
-    cache_hit: bool
-    #: Recovery accounting when serving with ``recovery=`` (else None).
-    recovery: object | None = None
-    #: Resume-mode final-state verification verdict (None when the run
-    #: was not served through the recovery executor).
-    verified: bool | None = None
-
-    @property
-    def degraded(self) -> bool:
-        return self.algorithm != self.requested or bool(self.skipped)
-
-
-def replay_degraded(
-    params: MachineParams,
-    before: Layout,
-    after: Layout | None = None,
-    *,
-    faults: FaultPlan,
-    algorithm: str = "auto",
-    cache=None,
-    policy=None,
-    packet_size: int | None = None,
-    observer=None,
-    recovery=None,
-    topology=None,
-) -> DegradedReplay:
-    """Serve a transpose under faults from cached plans where possible.
-
-    The PR 1 ladder (MPT -> DPT -> SPT -> router) is walked *before*
-    execution using the fault plan's link/node sets — the same proactive
-    feasibility check the planner uses — but instead of re-planning the
-    surviving tier from scratch, its :class:`CompiledPlan` is fetched
-    from ``cache`` (compiled and stored on miss) and replayed on a fresh
-    faulted network.  Only a fault that aborts the replay mid-flight
-    (possible for strategies the ladder cannot pre-check) falls back to
-    one direct fault-tolerant run.
-
-    ``recovery`` (a :class:`~repro.recovery.policy.RecoveryPolicy`)
-    switches the serve from restart-based to *resume-based*: proactive
-    tier degradation is skipped entirely — the requested tier's plan is
-    executed under :func:`repro.recovery.executor.execute_with_recovery`,
-    which backs off transient faults and rewrites the remaining schedule
-    around permanent ones.  The ladder is taken only when recovery
-    itself gives up or its final-state verification fails; the returned
-    :class:`DegradedReplay` then carries the recovery report with
-    ``resolved="ladder"``.
-
-    ``observer`` is installed on every network this call creates (the
-    replay network and, if needed, the direct-fallback network); pass an
-    :class:`~repro.obs.instrumentation.Instrumentation` hub to get a
-    ``serve`` span annotated with tier selection, cache outcome and
-    fault counters, with the replay/transpose spans nested inside.
-    """
-    from repro.plans.cache import plan_key
-    from repro.topology import (
-        parse_topology,
-        supported_algorithms,
-    )
-    from repro.topology.capabilities import CUBE_ALGORITHMS
-    from repro.transpose.planner import (
-        default_after_layout,
-        degrade_strategy,
-        select_algorithm,
-    )
-
-    topo = parse_topology(topology, before.n)
-    on_cube = topo.name == "cube"
-    if recovery is not None and not on_cube:
-        raise ValueError(
-            "resume-based recovery rewrites cube schedules (checkpoint "
-            "surgery, XOR relabeling) and is unavailable on topology "
-            f"{topo.spec!r}; serve with recovery=None instead"
-        )
-    target = after if after is not None else default_after_layout(before)
-    name = algorithm
-    if name == "auto":
-        name = select_algorithm(
-            before, target, params.port_model, topology=topo
-        )
-    requested = name
-    skipped: tuple[str, ...] = ()
-    caps = supported_algorithms(topo)
-    if name not in caps:
-        if name not in CUBE_ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
-        skipped = (name,)
-        name = "routed-universal"
-    if not faults.is_empty:
-        if not faults.surviving_connected():
-            raise DisconnectedCubeError(
-                "the surviving topology is not strongly connected; no "
-                f"transpose can complete ({faults.describe()})"
-            )
-        if recovery is None and on_cube:
-            name, more = degrade_strategy(name, before.n, faults)
-            skipped = (*skipped, *more)
-
-    key = plan_key(
-        params,
-        before,
-        target,
-        name,
-        policy=policy,
-        packet_size=packet_size,
-        topology=topo.spec,
-    )
-    instr = (
-        observer
-        if isinstance(observer, Instrumentation)
-        else NULL_INSTRUMENTATION
-    )
-    return _serve(
-        instr, cache, key, params, before, target, after, faults,
-        name, requested, skipped, policy, packet_size, observer,
-        recovery, topo,
-    )
-
-
-def _serve(
-    instr, cache, key, params, before, target, after, faults,
-    name, requested, skipped, policy, packet_size, observer,
-    recovery=None, topo=None,
-) -> DegradedReplay:
-    from repro.plans.recorder import capture_transpose, synthetic_matrix
-    from repro.transpose.planner import transpose
-
-    cache_obs = instr if instr.enabled else None
-    # The attr is named fault_spec, not faults: on_fault calls
-    # span.count("faults") on every open span, which would collide with
-    # a string-valued "faults" annotation the moment a fault fires.
-    with instr.span(
-        "serve", category="run", requested=requested, tier=name,
-        skipped=list(skipped), fault_spec=faults.describe(),
-        mode="resume" if recovery is not None else "restart",
-    ) as serve_span:
-        plan = (
-            cache.get(key, observer=cache_obs) if cache is not None else None
-        )
-        cache_hit = plan is not None
-        serve_span.annotate(cache_hit=cache_hit)
-        if plan is None:
-            _, plan = capture_transpose(
-                params,
-                synthetic_matrix(before),
-                target,
-                algorithm=name,
-                policy=policy,
-                packet_size=packet_size,
-                topology=topo,
-            )
-            if cache is not None:
-                cache.put(key, plan, observer=cache_obs)
-
-        if recovery is not None:
-            return _serve_with_recovery(
-                instr, serve_span, plan, params, before, after, faults,
-                name, requested, policy, packet_size, observer, recovery,
-                cache_hit,
-            )
-
-        network = CubeNetwork(params, faults=faults, topology=topo)
-        if observer is not None:
-            network.observer = observer
-        try:
-            replay_plan(plan, network)
-            return DegradedReplay(
-                algorithm=name,
-                requested=requested,
-                skipped=skipped,
-                stats=network.stats,
-                replayed=True,
-                cache_hit=cache_hit,
-            )
-        except (FaultError, RoutingStalledError):
-            # Reactive safety net: one direct fault-tolerant run, exactly as
-            # the planner would do when a schedule aborts mid-flight.
-            serve_span.annotate(replay_aborted=name)
-            direct = CubeNetwork(params, faults=faults, topology=topo)
-            if observer is not None:
-                direct.observer = observer
-            result = transpose(
-                direct,
-                synthetic_matrix(before),
-                after,
-                algorithm=requested,
-                policy=policy,
-                packet_size=packet_size,
-            )
-            return DegradedReplay(
-                algorithm=result.algorithm,
-                requested=requested,
-                skipped=(*skipped, name),
-                stats=direct.stats,
-                replayed=False,
-                cache_hit=cache_hit,
-            )
-
-
-def _serve_with_recovery(
-    instr, serve_span, plan, params, before, after, faults,
-    name, requested, policy, packet_size, observer, recovery, cache_hit,
-) -> DegradedReplay:
-    """Resume-based serve: recover in place, ladder only as last resort."""
-    from repro.plans.recorder import synthetic_matrix
-    from repro.recovery.executor import (
-        RecoveryFailedError,
-        execute_with_recovery,
-    )
-    from repro.transpose.planner import transpose
-
-    network = CubeNetwork(params, faults=faults)
-    if observer is not None:
-        network.observer = observer
-    report = None
-    try:
-        outcome = execute_with_recovery(plan, network, policy=recovery)
-        report = outcome.report
-        serve_span.annotate(
-            resolved=report.resolved, verified=outcome.verified
-        )
-        if outcome.verified:
-            return DegradedReplay(
-                algorithm=name,
-                requested=requested,
-                skipped=(),
-                stats=network.stats,
-                replayed=True,
-                cache_hit=cache_hit,
-                recovery=report,
-                verified=True,
-            )
-    except (RecoveryFailedError, FaultError, RoutingStalledError) as exc:
-        report = getattr(exc, "report", report)
-        serve_span.annotate(recovery_failed=type(exc).__name__)
-    # Last resort: the restart ladder, on a fresh network (the recovery
-    # attempt may have left partial state behind).
-    if report is not None:
-        report.resolved = "ladder"
-    if instr.enabled:
-        instr.recovery("ladder", tier=name, aborted=name)
-    direct = CubeNetwork(params, faults=faults)
-    if observer is not None:
-        direct.observer = observer
-    result = transpose(
-        direct,
-        synthetic_matrix(before),
-        after,
-        algorithm=requested,
-        policy=policy,
-        packet_size=packet_size,
-    )
-    return DegradedReplay(
-        algorithm=result.algorithm,
-        requested=requested,
-        skipped=(name,),
-        stats=direct.stats,
-        replayed=False,
-        cache_hit=cache_hit,
-        recovery=report,
-        verified=False,
-    )
+        if after_op is not None:
+            after_op(index + 1, mask, op)
+    return mask

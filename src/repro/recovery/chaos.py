@@ -8,11 +8,10 @@ the recovery machinery in up to three *modes*:
   ledger) runs under :func:`~repro.recovery.executor.execute_with_recovery`
   on a faulted network; the outcome must self-verify symbolically **and**
   be bit-identical to the fault-free payload run;
-* ``cached`` — the serve path:
-  :func:`~repro.plans.replay.replay_degraded` with ``recovery=`` and a
-  shared :class:`~repro.plans.cache.PlanCache`, exercising resume-based
-  serving end to end (a ladder fallback is re-verified with one live
-  run on real data);
+* ``cached`` — the request path: :func:`~repro.plans.serve.serve` with
+  ``recovery=`` and a shared :class:`~repro.plans.cache.PlanCache`,
+  exercising the recover-then-ladder stages end to end (a ladder
+  fallback is re-verified with one live run on real data);
 * ``live`` — a real matrix through the planner's restart ladder on a
   faulted network with checkpoint telemetry attached, verified against
   ``A.T`` element for element.
@@ -27,7 +26,7 @@ asserts on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.machine.engine import CubeNetwork
@@ -38,10 +37,9 @@ from repro.machine.faults import (
     RoutingStalledError,
 )
 from repro.machine.params import MachineParams
-from repro.plans.batch import resolve_problem
+from repro.plans.batch import BatchRequest, resolve_problem, resolve_request
 from repro.plans.cache import PlanCache
 from repro.plans.recorder import RecordingNetwork, synthetic_matrix
-from repro.plans.replay import replay_degraded
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.executor import (
     RecoveryFailedError,
@@ -324,6 +322,16 @@ def run_chaos(
         )
 
     cache = PlanCache(capacity=32)
+    # The tier and plan key do not depend on the fault plan, so one
+    # resolution serves every cached trial, each with its own faults.
+    # The run-local cache only ever holds ``params``' plans.
+    request = replace(
+        resolve_request(BatchRequest(
+            elements=elements, n=n, layout=layout, machine="cm",
+            algorithm=algorithm,
+        )),
+        params=params,
+    ) if "cached" in modes else None
     report = ChaosReport(
         n=n,
         elements=elements,
@@ -359,7 +367,7 @@ def run_chaos(
             elif mode == "cached":
                 trial = _cached_trial(
                     seed, params, before, target, faults, algorithm,
-                    cache, policy,
+                    cache, policy, request,
                 )
             else:
                 trial = _live_trial(
@@ -465,19 +473,13 @@ def _replay_trial(
 
 
 def _cached_trial(
-    seed, params, before, after, faults, algorithm, cache, policy
+    seed, params, before, after, faults, algorithm, cache, policy, request
 ) -> ChaosTrial:
-    if not faults.surviving_connected():
-        return ChaosTrial(seed, "cached", "rejected-disconnected")
+    from repro.plans.serve import serve
+
     try:
-        served = replay_degraded(
-            params,
-            before,
-            after,
-            faults=faults,
-            algorithm=algorithm,
-            cache=cache,
-            recovery=policy,
+        served = serve(
+            replace(request, faults=faults), cache=cache, recovery=policy
         )
     except DisconnectedCubeError:
         return ChaosTrial(seed, "cached", "rejected-disconnected")
@@ -486,7 +488,7 @@ def _cached_trial(
             seed, "cached", "failed", detail=f"{type(exc).__name__}: {exc}"
         )
     rep = served.recovery
-    if served.verified:
+    if served.resolved != "ladder":
         return _from_report(
             seed, "cached", "verified", rep, stats=served.stats
         )

@@ -48,20 +48,10 @@ from repro.machine.faults import (
     LinkFailureError,
     NodeFailureError,
 )
-from repro.machine.message import Block, Message
+from repro.machine.message import Block
 from repro.obs.instrumentation import instrumentation_of
-from repro.plans.ir import (
-    CollectOp,
-    CompiledPlan,
-    CopyOp,
-    IdleOp,
-    LocalOp,
-    PhaseOp,
-    PlaceOp,
-    PlanOp,
-    RemapOp,
-)
-from repro.plans.replay import PlanReplayError
+from repro.plans.ir import CompiledPlan, IdleOp, PhaseOp, PlanOp, RemapOp
+from repro.plans.replay import PlanReplayError, run_ops
 from repro.plans.symbolic import SymbolicError, simulate_ops
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.policy import RecoveryPolicy
@@ -173,6 +163,9 @@ def execute_with_recovery(
     keyed by block key, one array per successive placement of the key —
     see ``RecordingNetwork(record_payloads=True)``); without it the run
     is virtual, exactly like :func:`~repro.plans.replay.replay_plan`.
+    Ops run through the same interpreter as plain replay
+    (:func:`~repro.plans.replay.run_ops`), so every message's element
+    count is checked against the blocks it carries.
     Raises :class:`RecoveryFailedError` when the policy's budgets are
     exhausted or no plan surgery validates.
     """
@@ -191,8 +184,6 @@ def execute_with_recovery(
         every=policy.checkpoint_every, retain=policy.max_checkpoints
     )
     ops: tuple[PlanOp, ...] = plan.ops
-    cursor = 0
-    mask = 0
     consumed: dict[Hashable, int] = {}
     collected: dict[Hashable, tuple[int, Block]] = {}
     #: Open repair episodes: (cursor the run must pass, model start time).
@@ -201,22 +192,13 @@ def execute_with_recovery(
 
     manager.take(network, cursor=0, mask=0)
     report.checkpoints_taken += 1
+    #: (next op index, XOR mask) of the last completed op.
+    position = [0, 0]
 
-    while cursor < len(ops):
-        op = ops[cursor]
+    def after_op(cursor: int, mask: int, op: PlanOp) -> None:
+        position[0], position[1] = cursor, mask
         if isinstance(op, RemapOp):
-            mask ^= op.mask
-            cursor += 1
-            continue
-        try:
-            _execute_op(op, network, mask, payloads, consumed, collected)
-        except FaultError as exc:
-            ops, cursor, mask = _handle_fault(
-                exc, network, policy, manager, report, instr,
-                ops, cursor, mask, consumed, collected, episodes,
-            )
-            continue
-        cursor += 1
+            return
         if isinstance(op, (PhaseOp, IdleOp)):
             if manager.maybe_take(
                 network,
@@ -239,7 +221,21 @@ def execute_with_recovery(
                         ).observe(duration)
                 else:
                     still_open.append(episode)
-            episodes = still_open
+            episodes[:] = still_open
+
+    while position[0] < len(ops):
+        try:
+            run_ops(
+                ops, network, start=position[0], mask=position[1],
+                payloads=payloads, consumed=consumed, collected=collected,
+                after_op=after_op,
+            )
+        except FaultError as exc:
+            ops, position[0], position[1] = _handle_fault(
+                exc, network, policy, manager, report, instr,
+                ops, position[0], position[1], consumed, collected,
+                episodes,
+            )
 
     residual = {
         key: (x, mem.get(key).size)
@@ -266,56 +262,6 @@ def execute_with_recovery(
         verified=verified,
         elapsed=network.stats.time - start_time,
     )
-
-
-def _execute_op(
-    op: PlanOp,
-    network: CubeNetwork,
-    mask: int,
-    payloads: Mapping[Hashable, list] | None,
-    consumed: dict,
-    collected: dict,
-) -> None:
-    if isinstance(op, PhaseOp):
-        messages = [
-            Message(m.src ^ mask, m.dst ^ mask, m.keys) for m in op.messages
-        ]
-        network.execute_phase(messages, exclusive=op.exclusive)
-    elif isinstance(op, PlaceOp):
-        node = op.node ^ mask
-        if payloads is None:
-            network.place(node, Block(op.key, virtual_size=op.size))
-        else:
-            ledger = payloads.get(op.key)
-            index = consumed.get(op.key, 0)
-            if ledger is None or index >= len(ledger):
-                raise PlanReplayError(
-                    f"payload ledger has no array for placement "
-                    f"#{index + 1} of key {op.key!r}"
-                )
-            network.place(node, Block(op.key, data=ledger[index]))
-            consumed[op.key] = index + 1
-    elif isinstance(op, CollectOp):
-        node = op.node ^ mask
-        collected[op.key] = (node, network.memories[node].pop(op.key))
-    elif isinstance(op, CopyOp):
-        network.charge_copy({x ^ mask: c for x, c in op.per_node})
-    elif isinstance(op, LocalOp):
-        costs = (
-            op.costs
-            if isinstance(op.costs, float)
-            else {x ^ mask: c for x, c in op.costs}
-        )
-        elements = (
-            op.elements
-            if op.elements is None or isinstance(op.elements, int)
-            else {x ^ mask: c for x, c in op.elements}
-        )
-        network.execute_local(costs, elements)
-    elif isinstance(op, IdleOp):
-        network.idle_phase()
-    else:
-        raise PlanReplayError(f"unknown op in plan: {op!r}")
 
 
 def _suffix_cost(ops, start: int, stop: int) -> tuple[int, int]:

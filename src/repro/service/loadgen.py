@@ -35,16 +35,15 @@ from typing import Mapping
 
 from repro.machine.engine import CubeNetwork
 from repro.obs.ops import format_prometheus
-from repro.plans.batch import BatchRequest
-from repro.plans.recorder import capture_transpose, synthetic_matrix
-from repro.plans.replay import replay_plan
+from repro.plans.batch import BatchRequest, resolve_request
+from repro.plans.recorder import synthetic_matrix
+from repro.plans.serve import serve
 from repro.service.request import (
     AdmissionRejectedError,
     ServeOutcome,
     TransposeRequest,
     stats_fingerprint,
 )
-from repro.service.scheduler import resolve_request
 from repro.service.server import ServerConfig, ServerReport, TransposeServer
 
 __all__ = [
@@ -110,10 +109,12 @@ class LoadSpec:
                 "workload_every must be positive when a workload is set"
             )
         if self.workload is not None:
-            # Surface spec typos at construction, not mid-soak.
-            from repro.workloads import parse_workload
-
-            parse_workload(self.workload)
+            # Resolve the pipeline request the soak submits, so a spec
+            # typo (or a spec with no @RxC shape) fails here rather
+            # than inside a client thread mid-soak.
+            resolve_request(BatchRequest(
+                n=self.n, machine=self.machine, workload=self.workload
+            ))
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "LoadSpec":
@@ -195,40 +196,11 @@ def build_workload(spec: LoadSpec) -> list[TransposeRequest]:
 def solo_fingerprint(request: TransposeRequest) -> str:
     """Fingerprint of a solo, uncached, single-threaded serve.
 
-    Mirrors the worker's fault-free path exactly — fresh compile, fresh
-    machine, replayed schedule — so a served outcome's fingerprint must
-    equal this bit-for-bit.
+    The worker's own path — :func:`~repro.plans.serve.serve` — with no
+    cache, no concurrency and no observer, so a served outcome's
+    fingerprint must equal this bit-for-bit.
     """
-    from repro.transpose.planner import default_after_layout
-
-    resolved = resolve_request(request)
-    if resolved.workload is not None:
-        from repro.workloads import build_pipeline
-
-        pipeline = build_pipeline(
-            request.problem.workload,
-            request.problem.n,
-            layout=request.problem.layout,
-            elements=request.problem.elements,
-        )
-        plan, _ = pipeline.compile(resolved.params)
-        network = CubeNetwork(resolved.params)
-        replay_plan(plan, network)
-        return stats_fingerprint(network.stats)
-    target = (
-        resolved.after
-        if resolved.after is not None
-        else default_after_layout(resolved.before)
-    )
-    _, plan = capture_transpose(
-        resolved.params,
-        synthetic_matrix(resolved.before),
-        target,
-        algorithm=resolved.algorithm,
-    )
-    network = CubeNetwork(resolved.params)
-    replay_plan(plan, network)
-    return stats_fingerprint(network.stats)
+    return stats_fingerprint(serve(resolve_request(request)).stats)
 
 
 def solo_payload_check(request: TransposeRequest) -> dict:
@@ -307,6 +279,9 @@ class LoadReport:
     mismatches: list | None = None
     #: Closed-loop client waits that hit ``spec.request_timeout``.
     expired: int = 0
+    #: Closed-loop submits that raised anything but an admission
+    #: rejection — each is a request the soak silently lost.
+    client_errors: int = 0
     #: Sampled requests re-run solo on real data with byte comparison.
     payload_checked: int = 0
     #: Merged dual-axis Perfetto trace document (None when the server
@@ -319,7 +294,7 @@ class LoadReport:
 
     @property
     def ok(self) -> bool:
-        return self.invariant_violations == 0
+        return self.invariant_violations == 0 and self.client_errors == 0
 
     def summary(self) -> str:
         slo = self.server.slo()
@@ -339,6 +314,11 @@ class LoadReport:
                 if self.expired
                 else ""
             )
+            + (
+                f"; {self.client_errors} client submit error(s)"
+                if self.client_errors
+                else ""
+            )
         )
 
     def as_dict(self, *, with_outcomes: bool = False) -> dict:
@@ -351,6 +331,7 @@ class LoadReport:
                 "violations": self.invariant_violations,
                 "mismatches": self.mismatches or [],
                 "expired": self.expired,
+                "client_errors": self.client_errors,
             },
             "ok": self.ok,
         }
@@ -358,19 +339,21 @@ class LoadReport:
 
 def _drive_closed(
     server: TransposeServer, requests: list[TransposeRequest], spec: LoadSpec
-) -> int:
+) -> tuple[int, int]:
     """One client thread per tenant, each waiting out its own requests.
 
-    Returns how many waits expired client-side (``spec.request_timeout``
-    elapsed with no outcome) — the request itself may still resolve
-    server-side afterwards, so expiries are an independent count, not a
-    server outcome.
+    Returns ``(expired, errors)``: how many waits expired client-side
+    (``spec.request_timeout`` elapsed with no outcome — the request may
+    still resolve server-side afterwards, so expiries are an independent
+    count, not a server outcome), and how many submits raised anything
+    but an admission rejection.
     """
     by_tenant: dict[str, list[TransposeRequest]] = {}
     for request in requests:
         by_tenant.setdefault(request.tenant, []).append(request)
+    # count() is GIL-atomic across clients.
     expired = itertools.count()
-    expired_total = 0
+    errors = itertools.count()
 
     def client(mine: list[TransposeRequest]) -> None:
         for request in mine:
@@ -378,10 +361,13 @@ def _drive_closed(
                 pending = server.submit(request)
             except AdmissionRejectedError:
                 continue  # shed: counted by the server, move on
+            except Exception:
+                next(errors)  # lost, not shed: the report must fail
+                continue
             try:
                 pending.result(timeout=spec.request_timeout)
             except TimeoutError:
-                next(expired)  # count() is GIL-atomic across clients
+                next(expired)
 
     threads = [
         threading.Thread(target=client, args=(mine,), daemon=True)
@@ -391,8 +377,7 @@ def _drive_closed(
         t.start()
     for t in threads:
         t.join()
-    expired_total = next(expired)
-    return expired_total
+    return next(expired), next(errors)
 
 
 def _drive_open(
@@ -469,10 +454,10 @@ def run_loadgen(
     """Drive a server with the seeded workload and verify a sample."""
     server = TransposeServer(config)
     requests = build_workload(spec)
-    expired = 0
+    expired = client_errors = 0
     with server:
         if spec.mode == "closed":
-            expired = _drive_closed(server, requests, spec)
+            expired, client_errors = _drive_closed(server, requests, spec)
         else:
             _drive_open(server, requests, spec)
         server.drain()
@@ -487,6 +472,7 @@ def run_loadgen(
         invariant_violations=violations,
         mismatches=mismatches,
         expired=expired,
+        client_errors=client_errors,
         payload_checked=payload_checked,
         trace=server.trace_document() if server.config.trace else None,
         metrics_text=format_prometheus(server.metrics()),

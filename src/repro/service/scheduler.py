@@ -1,9 +1,11 @@
 """Resolve requests to plan keys and order them for the worker pool.
 
 The scheduler is the seam between the admission queue and the plan
-cache: every request is resolved **once, at submission** — machine
-parameters, layout pair, the §9 algorithm selection, and the resulting
-content address (:func:`~repro.plans.cache.plan_key`).  The content
+cache: every request is resolved **once, at submission**, by the batch
+layer's :func:`~repro.plans.batch.resolve_request` — machine
+parameters, layout pair, the §9 tier selection, the parsed fault
+scenario, and the resulting content address
+(:func:`~repro.plans.cache.plan_key`).  The content
 address doubles as the *batching compatibility key*: requests resolving
 to the same key replay the same :class:`~repro.plans.ir.CompiledPlan`,
 so the queue hands them to a single worker back-to-back and the first
@@ -18,130 +20,12 @@ requests return a :class:`PendingResult` the caller can wait on.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
-from repro.layout.fields import Layout
-from repro.machine.params import MachineParams
-from repro.obs.trace import TraceContext
-from repro.plans.batch import resolve_problem
-from repro.plans.cache import plan_key
+from repro.plans.batch import ResolvedRequest, resolve_request
 from repro.service.queue import AdmissionPolicy, AdmissionQueue, QueueEntry
-from repro.service.request import ServeOutcome, TransposeRequest
+from repro.service.request import ServeOutcome
 
 __all__ = ["PendingResult", "ResolvedRequest", "Scheduler", "resolve_request"]
-
-
-@dataclass(frozen=True)
-class ResolvedRequest:
-    """A request after one-time planning-side resolution."""
-
-    request: TransposeRequest
-    params: MachineParams
-    before: Layout
-    #: Explicit target layout (``None`` keeps the planner's default).
-    after: Layout | None
-    #: Concrete algorithm tier (``auto`` resolved through §9 selection).
-    algorithm: str
-    key: str
-    #: Canonical interconnect spec.  Workers re-parse it per request so
-    #: no Topology instance (or its mutable BFS distance cache) is ever
-    #: shared across worker threads.
-    topology: str = "cube"
-    #: Canonical composite-pipeline spec for ``workload=`` requests
-    #: (``None`` for ordinary transposes).  Workers re-parse it per
-    #: request — a Pipeline is cheap and never shared across threads.
-    workload: str | None = None
-    #: Trace identity minted by the server at submission (``None`` when
-    #: tracing is off); the worker opens the request's root span in it.
-    trace: TraceContext | None = None
-    #: Wall seconds spent in admission-time resolution — the worker
-    #: backdates the trace's admission leaf by this much.
-    resolve_s: float = 0.0
-
-
-def resolve_request(request: TransposeRequest) -> ResolvedRequest:
-    """Map a request to machine/layouts/algorithm/plan-key, validating it.
-
-    Raises :class:`ValueError` on malformed problems (bad element
-    counts, unknown layouts, machines or topologies), exactly as the
-    batch layer does — the server turns that into a synchronous
-    rejection rather than a dead queue entry.
-    """
-    from repro.topology import parse_topology, supported_algorithms
-    from repro.transpose.planner import default_after_layout, select_algorithm
-
-    problem = request.problem
-    params = problem.machine_params()
-    topo = parse_topology(problem.topology, problem.n)
-    if topo.num_nodes != 1 << problem.n:
-        raise ValueError(
-            f"topology {topo.spec!r} has {topo.num_nodes} nodes but the "
-            f"request needs 2^{problem.n} = {1 << problem.n}"
-        )
-    if problem.workload:
-        # Composite pipeline: the spec is parsed (typed per-token
-        # errors), the pipeline built (layout fit / stage ordering
-        # errors) and keyed — all at admission, like the transpose path.
-        from repro.workloads import build_pipeline
-
-        if topo.name != "cube":
-            raise ValueError(
-                "workload pipelines require the cube topology "
-                f"(requested {topo.spec!r})"
-            )
-        pipeline = build_pipeline(
-            problem.workload,
-            problem.n,
-            layout=problem.layout,
-            elements=problem.elements,
-        )
-        if problem.faults:
-            from repro.machine.faults import FaultPlan
-
-            FaultPlan.from_spec(problem.n, problem.faults)
-        return ResolvedRequest(
-            request=request,
-            params=params,
-            before=pipeline.before,
-            after=pipeline.after,
-            algorithm=pipeline.algorithm,
-            key=pipeline.key(params),
-            topology=topo.spec,
-            workload=pipeline.spec,
-        )
-    before, after = resolve_problem(problem.n, problem.elements, problem.layout)
-    target = after if after is not None else default_after_layout(before)
-    name = problem.algorithm
-    if name == "auto":
-        name = select_algorithm(
-            before, target, params.port_model, topology=topo
-        )
-    elif name not in supported_algorithms(topo):
-        from repro.topology.capabilities import CUBE_ALGORITHMS
-
-        if name not in CUBE_ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
-        name = "routed-universal"
-    if problem.faults:
-        # Validate the fault spec at admission; workers re-parse it
-        # per-request so no fault state is ever shared across machines.
-        from repro.machine.faults import FaultPlan
-
-        FaultPlan.from_spec(
-            problem.n,
-            problem.faults,
-            topology=None if topo.name == "cube" else topo,
-        )
-    key = plan_key(params, before, target, name, topology=topo.spec)
-    return ResolvedRequest(
-        request=request,
-        params=params,
-        before=before,
-        after=after,
-        algorithm=name,
-        key=key,
-        topology=topo.spec,
-    )
 
 
 class PendingResult:

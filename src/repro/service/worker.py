@@ -9,17 +9,14 @@ object on the hot path is the thread-safe
 :class:`~repro.plans.cache.PlanCache`, reached with per-call
 ``observer=`` so cache events land in the owning worker's telemetry.
 
-Fault handling mirrors the batch layer but with strict isolation: a
-request carrying a ``faults`` spec gets its *own*
-:class:`~repro.machine.faults.FaultPlan` parsed per request (never a
-plan shared with another machine — see :meth:`FaultPlan.fork`), and is
-served through :func:`~repro.plans.replay.replay_degraded`, which under
-a :class:`~repro.recovery.policy.RecoveryPolicy` routes execution
-through ``execute_with_recovery`` before falling back to the planner
-ladder.
+Every request is served by :func:`repro.plans.serve.serve`, the same
+path the batch runner takes: its escalation stages decide between plain
+replay, checkpointed recovery and the planner ladder, and each serve
+runs on a fork of the request's parsed fault plan, so no fault state is
+ever shared between machines.
 
-Each request is a ``serve`` span (category ``service``) with the SLO
-instruments recorded on the worker's registry:
+Each request is a ``serve`` span with the SLO instruments recorded on
+the worker's registry:
 
 - ``service_requests{tenant=,outcome=}`` — admitted work by final status;
 - ``service_cache_hits{tenant=}`` — compile-once/serve-many hit count;
@@ -31,12 +28,13 @@ With ``trace=True`` the worker's hub runs with the wall-clock axis
 armed and every dequeued request is served inside its
 :class:`~repro.obs.trace.TraceContext`: a root ``request`` span
 (backdated to submission on the wall axis) contains synthesized
-``admission`` and ``queue-wait`` leaves, the ``plan-resolve`` /
-``execute`` stages, and — via the attached network — the engine's own
-phase leaves and any recovery spans, all stamped with the request's
-``trace_id``.  A bounded :class:`~repro.obs.trace.FlightRecorder`
-always rides on the hub; its ring is dumped into
-:attr:`Worker.flight_reports` whenever a request ends badly.
+``admission`` and ``queue-wait`` leaves, the ``serve`` span with its
+``plan-resolve`` / ``execute`` children, and — via the attached
+network — the engine's own phase leaves and any recovery spans, all
+stamped with the request's ``trace_id``.  A bounded
+:class:`~repro.obs.trace.FlightRecorder` always rides on the hub; its
+ring is dumped into :attr:`Worker.flight_reports` whenever a request
+ends badly.
 """
 
 from __future__ import annotations
@@ -44,15 +42,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
 from time import perf_counter
 
-from repro.machine.engine import CubeNetwork
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.trace import FlightRecorder
 from repro.plans.cache import PlanCache
-from repro.plans.recorder import capture_transpose, synthetic_matrix
-from repro.plans.replay import replay_plan
+from repro.plans.serve import serve
 from repro.service.queue import QueueEntry
 from repro.service.request import ServeOutcome, stats_fingerprint
 from repro.service.scheduler import ResolvedRequest, Scheduler
@@ -366,207 +361,29 @@ class Worker(threading.Thread):
         self, resolved: ResolvedRequest, queue_wait: float, *, traced: bool
     ) -> ServeOutcome:
         request = resolved.request
-        problem = request.problem
-        with self.instr.span(
-            "serve",
-            category="service",
-            tenant=request.tenant,
+        exec_start = self.clock()
+        served = serve(
+            resolved,
+            cache=self.cache,
+            recovery=self.recovery,
+            observer=self.instr,
+        )
+        if traced:
+            served.stats.record_traced(self.clock() - exec_start)
+        return ServeOutcome(
             request_id=request.request_id,
-            worker=self.wid,
-            algorithm=resolved.algorithm,
-            priority=request.priority,
-        ) as span:
-            span.annotate(queue_wait_s=queue_wait)
-            if problem.faults:
-                outcome = self._execute_faulted(resolved, traced=traced)
-            else:
-                outcome = self._execute_clean(resolved, traced=traced)
-            span.annotate(
-                cache_hit=outcome.cache_hit, resolved=outcome.resolved
-            )
-        outcome.queue_wait_s = queue_wait
-        return outcome
-
-    def _execute_clean(
-        self, resolved: ResolvedRequest, *, traced: bool = False
-    ) -> ServeOutcome:
-        """Fault-free path: shared cache lookup, replay on a fresh machine."""
-        from repro.topology import parse_topology
-
-        # Parsed per request: a Topology's BFS distance cache is mutable,
-        # so instances are never shared across worker threads.
-        topo = parse_topology(resolved.topology, resolved.params.n)
-
-        def compile_fn():
-            if resolved.workload is not None:
-                from repro.workloads import build_pipeline
-
-                pipeline = build_pipeline(
-                    resolved.workload,
-                    resolved.params.n,
-                    layout=resolved.request.problem.layout,
-                    elements=resolved.request.problem.elements,
-                )
-                plan, _ = pipeline.compile(resolved.params)
-                return plan
-            from repro.transpose.planner import default_after_layout
-
-            target = (
-                resolved.after
-                if resolved.after is not None
-                else default_after_layout(resolved.before)
-            )
-            _, plan = capture_transpose(
-                resolved.params,
-                synthetic_matrix(resolved.before),
-                target,
-                algorithm=resolved.algorithm,
-                topology=topo,
-            )
-            return plan
-
-        resolve_span = (
-            self.instr.span("plan-resolve", category="plan", key=resolved.key[:16])
-            if traced
-            else nullcontext()
-        )
-        with resolve_span as span:
-            plan, hit = self.cache.get_or_compile(
-                resolved.key, compile_fn, observer=self.instr
-            )
-            if traced:
-                span.annotate(cache_hit=hit)
-        network = CubeNetwork(resolved.params, topology=topo)
-        self.instr.attach(network)
-        if traced:
-            exec_start = self.clock()
-            with self.instr.span(
-                "execute", category="execute", algorithm=plan.algorithm
-            ):
-                replay_plan(plan, network)
-            network.stats.record_traced(self.clock() - exec_start)
-        else:
-            replay_plan(plan, network)
-        return ServeOutcome(
-            request_id=resolved.request.request_id,
-            tenant=resolved.request.tenant,
-            status="served",
-            worker=self.wid,
-            algorithm=plan.algorithm,
-            cache_hit=hit,
-            resolved="clean",
-            modelled_time=network.stats.time,
-            key=resolved.key,
-            fingerprint=stats_fingerprint(network.stats),
-        )
-
-    def _execute_faulted(
-        self, resolved: ResolvedRequest, *, traced: bool = False
-    ) -> ServeOutcome:
-        """Faulted path: per-request fault state, recovery before ladder."""
-        from repro.machine.faults import FaultPlan
-        from repro.plans.replay import replay_degraded
-        from repro.topology import parse_topology
-
-        problem = resolved.request.problem
-        # Parsed fresh per request: no FaultPlan or Topology instance
-        # (none of their mutable lookup/distance caches) is ever shared
-        # between machines.
-        topo = parse_topology(resolved.topology, problem.n)
-        on_cube = topo.name == "cube"
-        faults = FaultPlan.from_spec(
-            problem.n,
-            problem.faults,
-            topology=None if on_cube else topo,
-        )
-        if resolved.workload is not None:
-            return self._execute_workload_faulted(resolved, faults,
-                                                  traced=traced)
-        exec_span = (
-            self.instr.span("execute", category="execute", faulted=True)
-            if traced
-            else nullcontext()
-        )
-        exec_start = self.clock() if traced else 0.0
-        with exec_span:
-            served = replay_degraded(
-                resolved.params,
-                resolved.before,
-                resolved.after,
-                faults=faults,
-                algorithm=problem.algorithm,
-                cache=self.cache,
-                observer=self.instr,
-                recovery=self.recovery if on_cube else None,
-                topology=topo,
-            )
-        if traced:
-            served.stats.record_traced(self.clock() - exec_start)
-        rec = served.recovery
-        resolved_how = (
-            rec.resolved
-            if rec is not None
-            else ("ladder" if not served.replayed else "degraded")
-            if served.degraded
-            else "clean"
-        )
-        return ServeOutcome(
-            request_id=resolved.request.request_id,
-            tenant=resolved.request.tenant,
-            status="served",
-            worker=self.wid,
-            algorithm=served.algorithm,
-            cache_hit=served.cache_hit,
-            resolved=resolved_how,
-            modelled_time=served.stats.time,
-            key=resolved.key,
-            fingerprint=stats_fingerprint(served.stats),
-            recovery=None if rec is None else rec.as_dict(),
-        )
-
-    def _execute_workload_faulted(
-        self, resolved: ResolvedRequest, faults, *, traced: bool = False
-    ) -> ServeOutcome:
-        """Faulted pipeline path: checkpointed recovery, no ladder."""
-        from repro.workloads import build_pipeline, serve_workload
-
-        pipeline = build_pipeline(
-            resolved.workload,
-            resolved.params.n,
-            layout=resolved.request.problem.layout,
-            elements=resolved.request.problem.elements,
-        )
-        exec_span = (
-            self.instr.span(
-                "execute", category="execute", faulted=True,
-                workload=pipeline.algorithm,
-            )
-            if traced
-            else nullcontext()
-        )
-        exec_start = self.clock() if traced else 0.0
-        with exec_span:
-            served = serve_workload(
-                pipeline,
-                resolved.params,
-                faults=faults,
-                cache=self.cache,
-                observer=self.instr,
-                recovery=self.recovery,
-            )
-        if traced:
-            served.stats.record_traced(self.clock() - exec_start)
-        rec = served.recovery
-        return ServeOutcome(
-            request_id=resolved.request.request_id,
-            tenant=resolved.request.tenant,
+            tenant=request.tenant,
             status="served",
             worker=self.wid,
             algorithm=served.algorithm,
             cache_hit=served.cache_hit,
             resolved=served.resolved,
             modelled_time=served.stats.time,
+            queue_wait_s=queue_wait,
             key=resolved.key,
             fingerprint=stats_fingerprint(served.stats),
-            recovery=None if rec is None else rec.as_dict(),
+            recovery=(
+                None if served.recovery is None
+                else served.recovery.as_dict()
+            ),
         )

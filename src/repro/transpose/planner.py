@@ -64,6 +64,7 @@ __all__ = [
     "check_transpose_invariants",
     "default_after_layout",
     "degrade_strategy",
+    "resolve_tier",
     "schedule_links",
     "select_algorithm",
     "transpose",
@@ -271,6 +272,30 @@ def select_algorithm(
     return "block-sbnt" if n_port else "exchange"
 
 
+def resolve_tier(
+    algorithm: str,
+    before: Layout,
+    after: Layout,
+    port_model: PortModel | str,
+    topology: Topology | None = None,
+) -> str:
+    """The tier a request for ``algorithm`` runs on.
+
+    ``auto`` resolves through :func:`select_algorithm`; a cube-only name
+    on another topology drops to the ``routed-universal`` capability
+    floor (the scheduled tiers' lemmas are cube-shaped); an unknown name
+    raises :class:`ValueError`.  This is the one place that rule lives:
+    the planner, the batch resolver and the server all call it.
+    """
+    if algorithm == "auto":
+        return select_algorithm(before, after, port_model, topology)
+    if algorithm in supported_algorithms(topology):
+        return algorithm
+    if algorithm not in CUBE_ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return "routed-universal"
+
+
 def _execute(
     network: CubeNetwork,
     name: str,
@@ -362,27 +387,19 @@ def transpose(
         )
 
     topo = network.topology
-    name = algorithm
-    if algorithm == "auto":
-        name = select_algorithm(
-            before, after, network.params.port_model, topology=topo
-        )
-
-    requested = name
+    name = resolve_tier(
+        algorithm, before, after, network.params.port_model, topo
+    )
+    requested = name if algorithm == "auto" else algorithm
     fallbacks: tuple[str, ...] = ()
     caps = supported_algorithms(topo)
-    if name not in caps:
-        if name not in CUBE_ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
+    if name != requested:
         if not degrade:
             raise ValueError(
-                f"algorithm {name!r} needs a Boolean cube; topology "
+                f"algorithm {requested!r} needs a Boolean cube; topology "
                 f"{topo.spec!r} supports: {', '.join(caps)}"
             )
-        # Per-topology capability floor: the scheduled tiers' lemmas are
-        # cube-shaped, so the request degrades to routed-universal.
-        fallbacks = (name,)
-        name = "routed-universal"
+        fallbacks = (requested,)
     plan = network.faults
     if plan is not None and plan.is_empty:
         plan = None

@@ -22,7 +22,6 @@ from repro.workloads.pipeline import (
     fuse_ops,
     start_layout,
 )
-from repro.workloads.serve import WorkloadServe, serve_workload
 from repro.workloads.spec import (
     PRESETS,
     Workload,
@@ -48,13 +47,11 @@ __all__ = [
     "Stage",
     "TransposeStage",
     "Workload",
-    "WorkloadServe",
     "WorkloadSpecError",
     "axis_permutation_order",
     "build_pipeline",
     "chain_plans",
     "fuse_ops",
     "parse_workload",
-    "serve_workload",
     "start_layout",
 ]

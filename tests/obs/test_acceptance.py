@@ -1,7 +1,7 @@
 """The issue's acceptance scenario, end to end.
 
 One faulted, plan-cached MPT request is served twice through
-:func:`replay_degraded` under a single instrumentation hub and exported
+:func:`repro.plans.serve.serve` under a single instrumentation hub and exported
 as Chrome trace JSON.  The trace must show the full nesting — serve
 (run) -> replay (algorithm) -> phase leaves — and the spans must carry
 the fault-ladder, cache and fault-counter annotations.
@@ -9,16 +9,11 @@ the fault-ladder, cache and fault-counter annotations.
 
 import json
 
-from repro.layout import partition as pt
-from repro.machine.faults import FaultPlan
-from repro.machine.presets import connection_machine
 from repro.obs import ChromeTraceSink, Instrumentation
-from repro.plans import PlanCache
-from repro.plans.replay import replay_degraded
+from repro.plans import BatchRequest, PlanCache, resolve_request, serve
 from repro.transpose.planner import schedule_links
 
 N = 4
-LAYOUT = pt.two_dim_cyclic(2, 2, 2, 2)
 
 
 def _dpt_only_link():
@@ -32,37 +27,34 @@ def _dpt_only_link():
 
 def test_faulted_cached_mpt_run_exports_annotated_chrome_trace(tmp_path):
     (src, dst), expected_skips = _dpt_only_link()
-    faults = FaultPlan.from_spec(N, f"links={src}-{dst}")
+    resolved = resolve_request(BatchRequest(
+        elements=16, n=N, machine="cm", algorithm="mpt",
+        faults=f"links={src}-{dst}",
+    ))
     cache = PlanCache()
     sink = ChromeTraceSink()
     hub = Instrumentation(sink)
 
-    first = replay_degraded(
-        connection_machine(N), LAYOUT, faults=faults, algorithm="mpt",
-        cache=cache, observer=hub,
-    )
-    second = replay_degraded(
-        connection_machine(N), LAYOUT, faults=faults, algorithm="mpt",
-        cache=cache, observer=hub,
-    )
+    first = serve(resolved, cache=cache, observer=hub)
+    second = serve(resolved, cache=cache, observer=hub)
 
     # -- degradation and caching behaved --------------------------------
     assert first.requested == "mpt"
     assert first.algorithm != "mpt"
     assert tuple(first.skipped) == expected_skips
     assert not first.cache_hit and second.cache_hit
-    assert first.replayed and second.replayed
+    assert first.resolved == second.resolved == "degraded"
     assert second.stats.time == first.stats.time
 
     # -- span tree: serve (run) -> replay (algorithm) -> phase leaves ----
     serves = [s for s in hub.spans if s.name == "serve"]
     assert len(serves) == 2
-    for serve in serves:
-        assert serve.category == "run"
-        assert serve.attrs["requested"] == "mpt"
-        assert serve.attrs["tier"] == first.algorithm
-        assert serve.attrs["skipped"] == list(expected_skips)
-        assert "link fault" in serve.attrs["fault_spec"]
+    for span in serves:
+        assert span.category == "run"
+        assert span.attrs["requested"] == "mpt"
+        assert span.attrs["tier"] == first.algorithm
+        assert span.attrs["skipped"] == list(expected_skips)
+        assert "link fault" in span.attrs["fault_spec"]
     assert serves[0].attrs["cache_hit"] is False
     assert serves[1].attrs["cache_hit"] is True
     # Cache events annotated onto the enclosing serve span.
@@ -70,9 +62,9 @@ def test_faulted_cached_mpt_run_exports_annotated_chrome_trace(tmp_path):
     assert serves[1].attrs["cache_hit_events"] == 1
 
     tree = hub.span_tree()
-    for serve in serves:
+    for span in serves:
         replays = [
-            s for s in tree[serve.span_id] if s.category == "algorithm"
+            s for s in tree[span.span_id] if s.category == "algorithm"
         ]
         assert [r.name for r in replays] == ["replay"]
         assert replays[0].attrs["algorithm"] == first.algorithm

@@ -2,14 +2,24 @@
 
 import pytest
 
-from repro.layout import partition as pt
 from repro.machine.faults import DisconnectedCubeError, FaultPlan
-from repro.machine.presets import connection_machine, intel_ipsc
-from repro.plans import PlanCache, replay_degraded
+from repro.plans import BatchRequest, PlanCache, resolve_request, serve
 from repro.transpose.planner import degrade_strategy, schedule_links
 
 N = 4
-LAYOUT = pt.two_dim_cyclic(2, 2, 2, 2)
+
+
+def serve_faulted(machine, faults, cache, **problem):
+    """Serve a 4x4 2-D transpose on the 4-cube without a recovery
+    policy: the degrade, replay, ladder stages."""
+    problem.setdefault("elements", 16)
+    problem.setdefault("n", N)
+    return serve(
+        resolve_request(
+            BatchRequest(machine=machine, faults=faults, **problem)
+        ),
+        cache=cache,
+    )
 
 
 def _dpt_only_link():
@@ -44,41 +54,29 @@ class TestDegradeStrategy:
 class TestReplayDegraded:
     def test_clean_machine_replays_requested_tier(self):
         cache = PlanCache()
-        outcome = replay_degraded(
-            intel_ipsc(N), LAYOUT, faults=FaultPlan.from_spec(N, "seed=7"),
-            cache=cache,
-        )
+        outcome = serve_faulted("ipsc", "seed=7", cache)
         assert outcome.algorithm == "spt"
-        assert not outcome.degraded
-        assert outcome.replayed
+        assert outcome.resolved != "degraded"
+        assert outcome.resolved != "ladder"
         assert not outcome.cache_hit
         assert cache.misses == 1
 
     def test_faulted_ladder_replays_surviving_tier(self):
         src, dst = _dpt_only_link()
-        faults = FaultPlan.from_spec(N, f"links={src}-{dst}")
-        cache = PlanCache()
-        outcome = replay_degraded(
-            connection_machine(N), LAYOUT, faults=faults, cache=cache
-        )
+        outcome = serve_faulted("cm", f"links={src}-{dst}", PlanCache())
         # auto on an n-port machine requests MPT; the faulted link rules
         # out MPT and DPT, so the cached SPT plan replays.
         assert outcome.requested == "mpt"
         assert outcome.algorithm == "spt"
         assert outcome.skipped == ("mpt", "dpt")
-        assert outcome.replayed
+        assert outcome.resolved == "degraded"
         assert outcome.stats.time > 0
 
     def test_second_call_hits_the_cache(self):
         src, dst = _dpt_only_link()
-        faults = FaultPlan.from_spec(N, f"links={src}-{dst}")
         cache = PlanCache()
-        first = replay_degraded(
-            connection_machine(N), LAYOUT, faults=faults, cache=cache
-        )
-        second = replay_degraded(
-            connection_machine(N), LAYOUT, faults=faults, cache=cache
-        )
+        first = serve_faulted("cm", f"links={src}-{dst}", cache)
+        second = serve_faulted("cm", f"links={src}-{dst}", cache)
         assert not first.cache_hit
         assert second.cache_hit
         assert second.stats == first.stats
@@ -87,17 +85,11 @@ class TestReplayDegraded:
     def test_different_faults_same_tier_share_a_plan(self):
         extra = sorted(schedule_links("dpt", N) - schedule_links("spt", N))
         cache = PlanCache()
-        first = replay_degraded(
-            connection_machine(N),
-            LAYOUT,
-            faults=FaultPlan.from_spec(N, f"links={extra[0][0]}-{extra[0][1]}"),
-            cache=cache,
+        first = serve_faulted(
+            "cm", f"links={extra[0][0]}-{extra[0][1]}", cache
         )
-        second = replay_degraded(
-            connection_machine(N),
-            LAYOUT,
-            faults=FaultPlan.from_spec(N, f"links={extra[1][0]}-{extra[1][1]}"),
-            cache=cache,
+        second = serve_faulted(
+            "cm", f"links={extra[1][0]}-{extra[1][1]}", cache
         )
         # Two distinct fault scenarios degrade to the same tier and are
         # served by the same cached plan — the point of keying on the
@@ -106,13 +98,14 @@ class TestReplayDegraded:
         assert second.cache_hit
 
     def test_disconnected_cube_raises(self):
-        faults = FaultPlan.from_spec(2, "links=0-1+1-0+0-2+2-0")
         with pytest.raises(DisconnectedCubeError):
-            replay_degraded(
-                intel_ipsc(2),
-                pt.row_consecutive(3, 3, 2),
-                faults=faults,
-                cache=PlanCache(),
+            serve_faulted(
+                "ipsc",
+                "links=0-1+1-0+0-2+2-0",
+                PlanCache(),
+                elements=64,
+                n=2,
+                layout="1d-rows",
             )
 
     def test_transient_fault_falls_back_to_direct_run(self):
@@ -121,9 +114,8 @@ class TestReplayDegraded:
         # router; the router replay may then hit the transient window
         # and fall back to a direct fault-tolerant run.  Either way the
         # outcome must report a completed transpose.
-        faults = FaultPlan.from_spec(N, "seed=3,transient_rate=0.05,window=4")
-        outcome = replay_degraded(
-            intel_ipsc(N), LAYOUT, faults=faults, cache=PlanCache()
+        outcome = serve_faulted(
+            "ipsc", "seed=3,transient_rate=0.05,window=4", PlanCache()
         )
         assert outcome.stats.time > 0
         assert outcome.algorithm in ("spt", "dpt", "mpt", "router")

@@ -60,6 +60,27 @@ class TestCleanRun:
         with pytest.raises(PlanReplayError, match="compiled for"):
             execute_with_recovery(plan, other)
 
+    def test_rejects_a_mis_sized_message(self):
+        # Plan files come from outside the process: recovery checks each
+        # message against the blocks it carries, exactly like replay.
+        from dataclasses import replace
+
+        params, plan, _ = captured()
+        index, phase = next(
+            (i, op) for i, op in enumerate(plan.ops)
+            if isinstance(op, PhaseOp)
+        )
+        first = phase.messages[0]
+        bad = replace(phase, messages=(
+            replace(first, elements=first.elements + 1),
+            *phase.messages[1:],
+        ))
+        ops = plan.ops[:index] + (bad,) + plan.ops[index + 1:]
+        with pytest.raises(PlanReplayError, match="plan recorded"):
+            execute_with_recovery(
+                replace(plan, ops=ops), CubeNetwork(params)
+            )
+
 
 class TestTransientResume:
     def test_backoff_then_resume(self):

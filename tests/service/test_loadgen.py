@@ -24,6 +24,13 @@ class TestLoadSpec:
         spec = LoadSpec(seed=3, tenants=2, requests=10, fault_rate=0.5)
         assert LoadSpec.from_dict(spec.as_dict()) == spec
 
+    def test_workload_without_a_shape_is_rejected(self):
+        # Pipeline requests carry no element count, so a spec with no
+        # @RxC would fail every one of them inside a client thread.
+        with pytest.raises(ValueError, match="no @RxC shape"):
+            LoadSpec(n=6, requests=40, tenants=2, workload="fft",
+                     workload_every=5)
+
 
 class TestWorkload:
     def test_workload_is_a_pure_function_of_the_spec(self):
@@ -71,6 +78,25 @@ class TestRunLoadgen:
         assert slo["served"] + slo["rejected"] + slo["failed"] == 40
         assert slo["failed"] == 0
         assert report.invariant_violations == 0
+
+    def test_unexpected_submit_error_fails_the_report(self, monkeypatch):
+        from repro.service.server import TransposeServer
+
+        submit = TransposeServer.submit
+
+        def flaky(self, request, now=None):
+            if request.request_id == 3:
+                raise RuntimeError("lost in transit")
+            return submit(self, request, now)
+
+        monkeypatch.setattr(TransposeServer, "submit", flaky)
+        report = run_loadgen(
+            LoadSpec(seed=7, tenants=2, requests=8, verify_sample=0)
+        )
+        assert report.client_errors == 1
+        assert not report.ok
+        assert report.as_dict()["verification"]["client_errors"] == 1
+        assert "1 client submit error(s)" in report.summary()
 
     def test_report_as_dict_shape(self):
         spec = LoadSpec(seed=1, tenants=1, requests=4, shapes=1,

@@ -6,11 +6,12 @@ from repro.layout import partition as pt
 from repro.machine import CubeNetwork, FaultPlan
 from repro.machine.presets import connection_machine
 from repro.plans import plan_key
-from repro.plans.batch import BatchRequest, run_batch
+from repro.plans.batch import BatchRequest, resolve_request, run_batch
 from repro.plans.cache import PlanCache
 from repro.plans.ir import PlanError
 from repro.plans.recorder import capture_transpose, synthetic_matrix
-from repro.plans.replay import PlanReplayError, replay_degraded, replay_plan
+from repro.plans.replay import PlanReplayError, replay_plan
+from repro.plans.serve import escalation, serve
 from repro.recovery import RecoveryPolicy, run_chaos
 from repro.topology import parse_topology, supported_algorithms
 from repro.topology.capabilities import CUBE_ALGORITHMS
@@ -70,15 +71,11 @@ class TestCapabilities:
             )
 
     def test_unknown_algorithm_still_rejected_off_cube(self):
-        topo = parse_topology("torus:4x4", N)
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
-            replay_degraded(
-                connection_machine(N),
-                LAYOUT,
-                faults=FaultPlan.from_spec(N, "seed=0", topology=topo),
-                algorithm="bogus",
-                topology=topo,
-            )
+            resolve_request(BatchRequest(
+                elements=256, n=N, machine="cm", algorithm="bogus",
+                faults="seed=0", topology="torus:4x4",
+            ))
 
 
 class TestPlansAndReplay:
@@ -106,29 +103,27 @@ class TestPlansAndReplay:
             plan.relabeled(3)
 
     def test_recovery_is_cube_only(self):
-        with pytest.raises(ValueError, match="recovery"):
-            replay_degraded(
-                connection_machine(N),
-                LAYOUT,
-                faults=FaultPlan.from_spec(
-                    N, "links=0-1", topology=parse_topology("torus:4x4", N)
-                ),
-                recovery=RecoveryPolicy(),
-                topology="torus:4x4",
-            )
+        # Recovery rewrites cube schedules, so a faulted torus request
+        # never takes the recover stage, policy or not.
+        resolved = resolve_request(BatchRequest(
+            elements=256, n=N, machine="cm", faults="links=0-1",
+            topology="torus:4x4",
+        ))
+        stages = escalation(resolved, RecoveryPolicy())
+        assert "recover" not in stages
+        assert serve(resolved, recovery=RecoveryPolicy()).recovery is None
 
     def test_requested_cube_tier_degrades_to_floor(self):
-        topo = parse_topology("dragonfly:2,4", N)
-        outcome = replay_degraded(
-            connection_machine(N),
-            LAYOUT,
-            faults=FaultPlan.from_spec(N, "seed=0", topology=topo),
-            algorithm="mpt",
-            topology=topo,
-        )
+        outcome = serve(resolve_request(BatchRequest(
+            elements=256, n=N, machine="cm", algorithm="mpt",
+            faults="seed=0", topology="dragonfly:2,4",
+        )))
         assert outcome.algorithm == "routed-universal"
-        assert outcome.requested == "mpt"
-        assert "mpt" in outcome.skipped
+        # The capability floor applies at resolution; it is not a fault
+        # degradation.
+        assert outcome.requested == "routed-universal"
+        assert "mpt" not in outcome.skipped
+        assert outcome.resolved == "clean"
 
     def test_batch_caches_per_topology(self):
         cache = PlanCache()

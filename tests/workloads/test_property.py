@@ -13,10 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.machine.engine import CubeNetwork
-from repro.machine.faults import FaultPlan
 from repro.machine.presets import connection_machine
+from repro.plans.batch import BatchRequest, resolve_request
 from repro.plans.cache import PlanCache
-from repro.workloads import Pipeline, build_pipeline, serve_workload
+from repro.plans.serve import serve
+from repro.workloads import Pipeline, build_pipeline
 from repro.workloads.stages import DimPermStage
 
 STAGE_TOKENS = (
@@ -78,19 +79,14 @@ class TestPipelineProperty:
         """Seeded link faults on the replay path: recovery must land the
         plan, and its self-verification must pass."""
         spec = "pipeline:" + "+".join(tokens) + f"@{shape[0]}x{shape[1]}"
-        pipeline = build_pipeline(spec, 4)
-        faults = FaultPlan.from_spec(
-            4, f"seed={seed},link_rate=0.05,transient_rate=0.5,window=4"
-        )
+        resolved = resolve_request(BatchRequest(
+            n=4, machine="cm", workload=spec,
+            faults=f"seed={seed},link_rate=0.05,transient_rate=0.5,window=4",
+        ))
         from repro.recovery import RecoveryFailedError
 
         try:
-            served = serve_workload(
-                pipeline,
-                connection_machine(4),
-                faults=faults,
-                cache=PlanCache(),
-            )
+            served = serve(resolved, cache=PlanCache())
         except RecoveryFailedError:
             # A sufficiently vicious fault draw can defeat recovery
             # (no healthy path left); that is a legitimate terminal

@@ -2,42 +2,41 @@
 
 import pytest
 
-from repro.machine.faults import FaultPlan
 from repro.machine.presets import connection_machine
-from repro.plans.batch import BatchRequest, run_batch
+from repro.plans.batch import BatchRequest, resolve_request, run_batch
 from repro.plans.cache import PlanCache
-from repro.workloads import build_pipeline, serve_workload
+from repro.plans.serve import serve
+from repro.workloads import build_pipeline
+
+
+def pipeline_request(workload, n, faults=None):
+    return resolve_request(
+        BatchRequest(n=n, machine="cm", workload=workload, faults=faults)
+    )
 
 
 class TestServeWorkload:
     def test_second_serve_hits_the_cache(self):
-        params = connection_machine(6)
-        pipeline = build_pipeline("fft@64x64", 6)
+        resolved = pipeline_request("fft@64x64", 6)
         cache = PlanCache()
-        first = serve_workload(pipeline, params, cache=cache)
-        second = serve_workload(pipeline, params, cache=cache)
+        first = serve(resolved, cache=cache)
+        second = serve(resolved, cache=cache)
         assert not first.cache_hit and second.cache_hit
         assert first.resolved == second.resolved == "clean"
         assert first.stats.as_dict() == second.stats.as_dict()
 
     def test_faulted_serve_recovers_and_verifies(self):
-        params = connection_machine(4)
-        pipeline = build_pipeline("pipeline:bitrev+transpose@13x11", 4)
-        faults = FaultPlan.from_spec(4, "links=0-1,seed=3")
-        served = serve_workload(
-            pipeline, params, faults=faults, cache=PlanCache()
+        resolved = pipeline_request(
+            "pipeline:bitrev+transpose@13x11", 4, "links=0-1,seed=3"
         )
+        served = serve(resolved, cache=PlanCache())
         assert served.resolved.startswith("surgery")
         assert served.verified is True
         assert served.recovery is not None
 
     def test_transient_faults_resume(self):
-        params = connection_machine(4)
-        pipeline = build_pipeline("fft@16x16", 4)
-        faults = FaultPlan.from_spec(4, "tlinks=0-1@1-3")
-        served = serve_workload(
-            pipeline, params, faults=faults, cache=PlanCache()
-        )
+        resolved = pipeline_request("fft@16x16", 4, "tlinks=0-1@1-3")
+        served = serve(resolved, cache=PlanCache())
         assert served.resolved in ("resume", "clean")
         assert served.verified is True
 
