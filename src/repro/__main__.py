@@ -16,7 +16,20 @@ Commands
 ``baseline``  record or check the pinned perf-regression suite;
 ``serve``     run the multi-tenant serving layer over a request file;
 ``loadgen``   drive a server with seeded synthetic traffic and verify
-              a sample of outcomes bit-identically against solo runs.
+              a sample of outcomes bit-identically against solo runs;
+``top``       drive the same soak under a live ops dashboard.
+
+The CLI is a thin front end over the request path.  ``run`` and
+``plan`` turn their problem flags into one
+:class:`~repro.plans.batch.BatchRequest` and resolve it once through
+:func:`~repro.plans.batch.resolve_request` (machine, layouts, tier,
+plan key, faults); ``plan`` compiles through
+:func:`~repro.plans.serve.compile_plan`, the function
+:func:`~repro.plans.serve.serve` compiles cache misses with, so a plan
+key names one document whichever command wrote it.  ``batch`` resolves
+every request at load and ``serve`` at submission; either rejects a
+malformed one with exit 2.  ``replay`` runs a plan file directly: a
+plan is not a request and has no tier to ladder to.
 
 ``run`` and ``plan`` also accept ``--workload SPEC`` to execute or
 compile a composite permutation pipeline (``repro.workloads`` grammar,
@@ -24,10 +37,11 @@ e.g. ``pipeline:bitrev+transpose@13x11`` or ``fft@64x64``) instead of a
 plain transpose, and ``loadgen --workload`` mixes pipeline requests
 into the synthetic stream.
 
-``advise``, ``run``, ``machines``, ``plan``, ``replay``, ``batch``,
-``chaos``, ``serve`` and ``loadgen`` accept ``--json`` for
-machine-readable output.  Every ``--json`` document shares one
-envelope::
+Bad input — a malformed spec, problem or file — prints one line to
+stderr and exits 2.  ``advise``, ``run``, ``machines``, ``plan``,
+``replay``, ``batch``, ``chaos``, ``serve`` and ``loadgen`` accept
+``--json`` for machine-readable output.  Every ``--json`` document
+shares one envelope::
 
     {"schema_version": 1, "command": "<name>", "result": {...}}
 
@@ -48,6 +62,10 @@ import numpy as np
 JSON_SCHEMA_VERSION = 1
 
 
+class UsageError(Exception):
+    """Bad command-line input: :func:`main` prints it and exits 2."""
+
+
 def emit_json(command: str, result) -> None:
     """Print one machine-readable document in the unified envelope."""
     doc = {
@@ -58,30 +76,101 @@ def emit_json(command: str, result) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _machine(args):
-    from repro.machine.presets import connection_machine, custom_machine, intel_ipsc
+def _write_artifact(path: str, doc, *, label: str = "", detail: str = ""):
+    """Write one artifact file — ``doc`` as JSON, or a string verbatim."""
+    with open(path, "w") as fh:
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    print(f"wrote {label + ' ' if label else ''}{path}{detail}", file=sys.stderr)
 
-    if args.machine == "ipsc":
-        return intel_ipsc(args.n)
-    if args.machine == "cm":
-        return connection_machine(args.n)
-    from repro.machine.params import PortModel
 
-    return custom_machine(
-        args.n,
-        tau=args.tau,
-        t_c=args.t_c,
-        port_model=PortModel.N_PORT if args.n_port else PortModel.ONE_PORT,
-    )
+def _write_exports(args, *, trace, flights, metrics) -> None:
+    """The serving commands' ``--trace/--flight-out/--metrics-out`` files.
+
+    ``trace`` and ``metrics`` are thunks, so an export nobody asked for
+    is never rendered.
+    """
+    if args.trace:
+        _write_artifact(args.trace, trace(), label="trace")
+    if args.flight_out and flights:
+        _write_artifact(args.flight_out, flights, label="flight dump")
+    if args.metrics_out:
+        _write_artifact(args.metrics_out, metrics(), label="metrics")
+
+
+def _from_flags(cls, args, **overrides):
+    """Build dataclass ``cls`` from the parsed flags named like its fields."""
+    fields = cls.__dataclass_fields__
+    known = {k: v for k, v in vars(args).items() if k in fields}
+    return cls(**{**known, **overrides})
+
+
+def _policy(spec: str | None):
+    """A ``--recover`` spec as a RecoveryPolicy (``None`` stays None)."""
+    if spec is None:
+        return None
+    from repro.recovery import RecoveryPolicy
+
+    try:
+        return RecoveryPolicy.from_spec(spec)
+    except ValueError as exc:
+        raise UsageError(f"bad --recover spec: {exc}") from exc
+
+
+def _topology(args):
+    """Parse ``--topology``; a non-cube topology re-derives ``-n``.
+
+    A non-cube topology fixes the node count, so it wins over ``-n``:
+    the cube dimension is re-derived as log2(nodes) and must be exact —
+    the transpose algorithms address nodes by bit fields.
+    """
+    from repro.topology import TopologyError, parse_topology
+
+    try:
+        topo = parse_topology(args.topology, args.n)
+    except TopologyError as exc:
+        raise UsageError(f"bad --topology spec: {exc}") from exc
+    count = topo.num_nodes
+    if count != 1 << args.n:
+        args.n = count.bit_length() - 1
+        if 1 << args.n != count:
+            raise UsageError(
+                f"topology {topo.spec!r} has {count} nodes, which is not "
+                "a power of two; the transpose algorithms need 2^n nodes"
+            )
+    return topo
+
+
+def _resolve(args):
+    """Resolve the problem flags once through ``resolve_request``."""
+    from repro.plans.batch import BatchRequest, resolve_request
+
+    topology = _topology(args).spec
+    try:
+        return resolve_request(
+            _from_flags(BatchRequest, args, topology=topology)
+        )
+    except ValueError as exc:
+        field = getattr(exc, "field", None)
+        raise UsageError(
+            f"bad --{field} spec: {exc}" if field else str(exc)
+        ) from exc
 
 
 def cmd_advise(args) -> int:
     from repro.analysis.report import format_report, report_data
+    from repro.plans.batch import BatchRequest
 
+    # Only the machine: advise ranks any size on any cube, so it does
+    # not resolve a layout the way run/plan do.
+    params = _from_flags(BatchRequest, args).machine_params()
     if args.json:
-        emit_json("advise", report_data(_machine(args), args.elements))
+        emit_json("advise", report_data(params, args.elements))
     else:
-        print(format_report(_machine(args), args.elements))
+        print(format_report(params, args.elements))
     return 0
 
 
@@ -98,125 +187,58 @@ def _stats_recovery_block(stats, *, resolved: str) -> dict:
     }
 
 
-def _resolve_problem(args):
-    """CLI-side wrapper: bad problem parameters exit with status 2."""
-    from repro.plans.batch import resolve_problem
+def cmd_run(args) -> int:
+    """Run one request on real data: a transpose, or a ``--workload``.
 
-    try:
-        return resolve_problem(args.n, args.elements, args.layout)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-
-
-def _topology(args):
-    """Resolve ``--topology`` against ``-n``; None means bad input.
-
-    A non-cube topology fixes the node count, so it wins over ``-n``:
-    the cube dimension is re-derived as log2(nodes) and must be exact —
-    the transpose algorithms address nodes by bit fields.
+    A transpose runs through the live planner (its own fault ladder);
+    a faulted workload is served by :func:`~repro.plans.serve.serve`
+    (checkpointed recovery — pipelines have no ladder) and a fault-free
+    one executes its pipeline directly.
     """
-    from repro.topology import TopologyError, parse_topology
+    from repro import CubeNetwork, DistributedMatrix, transpose
+    from repro.machine.faults import FaultError, RoutingStalledError
+    from repro.obs import ChromeTraceSink, Instrumentation
+    from repro.topology import parse_topology
 
-    try:
-        topo = parse_topology(getattr(args, "topology", None), args.n)
-    except TopologyError as exc:
-        print(f"bad --topology spec: {exc}", file=sys.stderr)
-        return None
-    if topo.num_nodes != 1 << args.n:
-        count = topo.num_nodes
-        derived = count.bit_length() - 1
-        if 1 << derived != count:
-            print(
-                f"topology {topo.spec!r} has {count} nodes, which is not "
-                "a power of two; the transpose algorithms need 2^n nodes",
-                file=sys.stderr,
-            )
-            return None
-        args.n = derived
-    return topo
+    resolved = _resolve(args)
+    params, faults = resolved.params, resolved.faults
+    topo = parse_topology(resolved.topology, params.n)
+    fault_text = None if faults is None else faults.describe()
+    trace_sink = ChromeTraceSink() if args.trace else None
+    recorder = None
+    if args.timeline and resolved.workload is None:
+        from repro.machine.trace import TraceRecorder
 
+        recorder = TraceRecorder()
+    sinks = [s for s in (trace_sink, recorder) if s is not None]
+    instr = Instrumentation(*sinks) if sinks else None
+    rng = np.random.default_rng(0)
+    head: list[str] = []  # report lines before verified/model time
+    tail: list[str] = []  # and after them
 
-def _build_cli_pipeline(args, topo):
-    """Materialize ``--workload`` against the CLI problem; None = bad input."""
-    from repro.workloads import build_pipeline
+    if resolved.workload is not None:
+        pipeline = resolved.pipeline()
+        shape = pipeline.shape
+        served = None
+        if faults is not None:
+            from repro.plans.serve import serve
+            from repro.recovery import RecoveryFailedError
 
-    if topo.name != "cube":
-        print(
-            "workload pipelines require the cube topology "
-            f"(requested {topo.spec!r})",
-            file=sys.stderr,
-        )
-        return None
-    try:
-        return build_pipeline(
-            args.workload, args.n, layout=args.layout,
-            elements=args.elements,
-        )
-    except ValueError as exc:
-        print(f"bad --workload spec: {exc}", file=sys.stderr)
-        return None
-
-
-def _run_workload(args, topo) -> int:
-    """``repro run --workload``: execute a pipeline on real data."""
-    from repro import CubeNetwork
-    from repro.machine.faults import FaultError, FaultPlan, RoutingStalledError
-
-    pipeline = _build_cli_pipeline(args, topo)
-    if pipeline is None:
-        return 2
-    faults = None
-    if args.faults:
-        try:
-            faults = FaultPlan.from_spec(args.n, args.faults)
-        except ValueError as exc:
-            print(f"bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-
-    trace_sink = instr = None
-    if args.trace:
-        from repro.obs import ChromeTraceSink, Instrumentation
-
-        trace_sink = ChromeTraceSink()
-        instr = Instrumentation(trace_sink)
-
-    served = None
-    if faults is not None:
-        # The request path, exactly like the server: a faulted pipeline
-        # has no degradation ladder, so it is served by checkpointed
-        # recovery alone and fails if that cannot verify.
-        from repro.plans.batch import BatchRequest, resolve_request
-        from repro.plans.serve import serve
-        from repro.recovery import RecoveryFailedError
-
-        resolved = resolve_request(BatchRequest(
-            elements=args.elements, n=args.n, layout=args.layout,
-            machine=args.machine, tau=args.tau, t_c=args.t_c,
-            n_port=args.n_port, faults=args.faults, workload=args.workload,
-        ))
-        try:
-            served = serve(resolved, observer=instr)
-        except (FaultError, RoutingStalledError, RecoveryFailedError) as exc:
-            print(f"workload failed under faults: {exc}", file=sys.stderr)
-            return 1
-        stats = served.stats
-        ok = bool(served.verified)
-    else:
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((pipeline.shape.rows, pipeline.shape.cols))
-        net = CubeNetwork(_machine(args))
-        if instr is not None:
-            instr.attach(net)
-        result = pipeline.execute(net, A)
-        stats = net.stats
-        ok = bool(np.array_equal(result, pipeline.reference(A)))
-
-    if trace_sink is not None:
-        trace_sink.write(args.trace)
-        print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
-    shape = pipeline.shape
-    if args.json:
+            try:
+                served = serve(resolved, observer=instr)
+            except (FaultError, RoutingStalledError, RecoveryFailedError) as exc:
+                print(f"workload failed under faults: {exc}", file=sys.stderr)
+                return 1
+            stats = served.stats
+            ok = bool(served.verified)
+        else:
+            A = rng.standard_normal((shape.rows, shape.cols))
+            net = CubeNetwork(params)
+            if instr is not None:
+                instr.attach(net)
+            result = pipeline.execute(net, A)
+            stats = net.stats
+            ok = bool(np.array_equal(result, pipeline.reference(A)))
         doc = {
             "workload": pipeline.spec,
             "rows": shape.rows,
@@ -224,115 +246,65 @@ def _run_workload(args, topo) -> int:
             "padded_rows": shape.padded_rows,
             "padded_cols": shape.padded_cols,
             "stages": [s.describe() for s in pipeline.stages],
-            "machine": _machine(args).name,
-            "port_model": _machine(args).port_model.value,
+            "machine": params.name,
+            "port_model": params.port_model.value,
             "topology": topo.spec,
-            "algorithm": pipeline.algorithm,
-            "faults": None if faults is None else faults.describe(),
+            "algorithm": resolved.algorithm,
+            "faults": fault_text,
             "verified": ok,
             "stats": stats.as_dict(),
         }
-        if served is not None:
-            doc["resolved"] = served.resolved
-            doc["recovery"] = (
-                None if served.recovery is None else served.recovery.as_dict()
-            )
-        emit_json("run", doc)
-        return 0 if ok else 1
-    params = _machine(args)
-    print(
-        f"workload:   {pipeline.spec} "
-        f"({shape.rows} x {shape.cols}, padded to "
-        f"{shape.padded_rows} x {shape.padded_cols})"
-    )
-    print(f"machine:    {params.name} ({params.port_model.value})")
-    print(f"algorithm:  {pipeline.algorithm}")
-    if faults is not None:
-        print(f"faults:     {faults.describe()}")
-    if served is not None:
-        rec = served.recovery
-        print(f"resolved:   {served.resolved}")
-        if rec is not None:
-            print(
-                f"recovery:   {rec.checkpoints_taken} checkpoint(s), "
-                f"{rec.rollbacks} rollback(s), "
-                f"{rec.replayed_phases} replayed phase(s)"
-            )
-    print(f"verified:   {ok}")
-    print(f"model time: {stats.summary()}")
-    return 0 if ok else 1
-
-
-def cmd_run(args) -> int:
-    from repro import CubeNetwork, DistributedMatrix, transpose
-    from repro.machine.faults import FaultError, FaultPlan, RoutingStalledError
-
-    topo = _topology(args)
-    if topo is None:
-        return 2
-    if args.workload:
-        return _run_workload(args, topo)
-    on_cube = topo.name == "cube"
-    resolved = _resolve_problem(args)
-    if resolved is None:
-        return 2
-    layout, after = resolved
-
-    faults = None
-    if args.faults:
-        try:
-            faults = FaultPlan.from_spec(
-                args.n, args.faults, topology=None if on_cube else topo
-            )
-        except ValueError as exc:
-            print(f"bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((1 << layout.p, 1 << layout.q))
-    net = CubeNetwork(_machine(args), faults=faults, topology=topo)
-    if args.checkpoint_every:
-        from repro.recovery import CheckpointManager
-
-        net.checkpoints = CheckpointManager(every=args.checkpoint_every)
-
-    recorder = trace_sink = None
-    if args.trace or args.timeline:
-        from repro.machine.trace import TraceRecorder
-        from repro.obs import ChromeTraceSink, Instrumentation
-
-        sinks = []
-        if args.trace:
-            trace_sink = ChromeTraceSink()
-            sinks.append(trace_sink)
-        if args.timeline:
-            recorder = TraceRecorder()
-            sinks.append(recorder)
-        Instrumentation(*sinks).attach(net)
-
-    try:
-        result = transpose(
-            net,
-            DistributedMatrix.from_global(A, layout),
-            after,
-            algorithm=args.algorithm,
+        head.append(
+            f"workload:   {pipeline.spec} "
+            f"({shape.rows} x {shape.cols}, padded to "
+            f"{shape.padded_rows} x {shape.padded_cols})"
         )
-    except (FaultError, RoutingStalledError) as exc:
-        print(f"transpose failed under faults: {exc}", file=sys.stderr)
-        return 1
-    ok = result.verify_against(A)
+        head.append(f"machine:    {params.name} ({params.port_model.value})")
+        head.append(f"algorithm:  {resolved.algorithm}")
+        if faults is not None:
+            head.append(f"faults:     {fault_text}")
+        if served is not None:
+            rec = served.recovery
+            doc["resolved"] = served.resolved
+            doc["recovery"] = None if rec is None else rec.as_dict()
+            head.append(f"resolved:   {served.resolved}")
+            if rec is not None:
+                head.append(
+                    f"recovery:   {rec.checkpoints_taken} checkpoint(s), "
+                    f"{rec.rollbacks} rollback(s), "
+                    f"{rec.replayed_phases} replayed phase(s)"
+                )
+    else:
+        layout = resolved.before
+        A = rng.standard_normal((1 << layout.p, 1 << layout.q))
+        net = CubeNetwork(params, faults=faults, topology=topo)
+        if args.checkpoint_every:
+            from repro.recovery import CheckpointManager
 
-    if trace_sink is not None:
-        trace_sink.write(args.trace)
-        print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
-    if args.json:
+            net.checkpoints = CheckpointManager(every=args.checkpoint_every)
+        if instr is not None:
+            instr.attach(net)
+        try:
+            # The live planner takes the strategy as asked, so its report
+            # names the request and any capability fallback it made.
+            result = transpose(
+                net,
+                DistributedMatrix.from_global(A, layout),
+                resolved.after,
+                algorithm=args.algorithm,
+            )
+        except (FaultError, RoutingStalledError) as exc:
+            print(f"transpose failed under faults: {exc}", file=sys.stderr)
+            return 1
+        stats = result.stats
+        ok = result.verify_against(A)
         doc = {
             "rows": 1 << layout.p,
             "cols": 1 << layout.q,
             "elements": args.elements,
             "layout": layout.describe(),
-            "machine": net.params.name,
-            "port_model": net.params.port_model.value,
+            "machine": params.name,
+            "port_model": params.port_model.value,
             "topology": topo.spec,
             "algorithm": result.algorithm,
             "comm_class": result.comm_class.value,
@@ -340,54 +312,64 @@ def cmd_run(args) -> int:
             "degraded": result.degraded,
             "fallbacks": list(result.fallbacks),
             "recovery_overhead": result.recovery_overhead,
-            "faults": None if faults is None else faults.describe(),
+            "faults": fault_text,
             "verified": ok,
             "recovery": _stats_recovery_block(
-                result.stats,
-                resolved="ladder" if result.fallbacks else "clean",
+                stats, resolved="ladder" if result.fallbacks else "clean"
             ),
-            "stats": result.stats.as_dict(),
+            "stats": stats.as_dict(),
         }
+        head.append(
+            f"matrix:     {1 << layout.p} x {1 << layout.q} "
+            f"({args.elements} elements)"
+        )
+        head.append(f"layout:     {layout.describe()}")
+        head.append(f"machine:    {params.name} ({params.port_model.value})")
+        if topo.name != "cube":
+            head.append(f"topology:   {topo.describe()}")
+        head.append(
+            f"algorithm:  {result.algorithm} ({result.comm_class.value})"
+        )
+        if faults is not None:
+            head.append(f"faults:     {fault_text}")
+            if result.degraded:
+                head.append(
+                    f"degraded:   {result.requested} -> {result.algorithm} "
+                    f"(skipped {', '.join(result.fallbacks)}); recovery "
+                    f"overhead {result.recovery_overhead * 1e3:.3f} ms"
+                )
+            if stats.rollbacks or stats.checkpoints:
+                head.append(
+                    f"recovery:   {stats.checkpoints} checkpoint(s), "
+                    f"{stats.rollbacks} rollback(s), "
+                    f"{stats.replayed_phases} replayed phase(s), "
+                    f"{stats.wasted_elements} wasted element(s)"
+                )
+        if args.heatmap:
+            from repro.analysis.report import (
+                format_link_heatmap,
+                format_topology_heatmap,
+            )
+
+            tail += ["", (
+                format_link_heatmap(stats, params.n)
+                if topo.name == "cube"
+                else format_topology_heatmap(stats, topo)
+            )]
+        if recorder is not None:
+            from repro.analysis.report import format_congestion_timeline
+
+            tail += ["", format_congestion_timeline(recorder.events)]
+
+    if trace_sink is not None:
+        trace_sink.write(args.trace)
+        print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
+    if args.json:
         emit_json("run", doc)
-        return 0 if ok else 1
-    print(f"matrix:     {1 << layout.p} x {1 << layout.q} ({args.elements} elements)")
-    print(f"layout:     {layout.describe()}")
-    print(f"machine:    {net.params.name} ({net.params.port_model.value})")
-    if not on_cube:
-        print(f"topology:   {topo.describe()}")
-    print(f"algorithm:  {result.algorithm} ({result.comm_class.value})")
-    if faults is not None:
-        print(f"faults:     {faults.describe()}")
-        if result.degraded:
-            print(
-                f"degraded:   {result.requested} -> {result.algorithm} "
-                f"(skipped {', '.join(result.fallbacks)}); recovery "
-                f"overhead {result.recovery_overhead * 1e3:.3f} ms"
-            )
-        if result.stats.rollbacks or result.stats.checkpoints:
-            print(
-                f"recovery:   {result.stats.checkpoints} checkpoint(s), "
-                f"{result.stats.rollbacks} rollback(s), "
-                f"{result.stats.replayed_phases} replayed phase(s), "
-                f"{result.stats.wasted_elements} wasted element(s)"
-            )
-    print(f"verified:   {ok}")
-    print(f"model time: {result.stats.summary()}")
-    if args.heatmap:
-        print()
-        if on_cube:
-            from repro.analysis.report import format_link_heatmap
-
-            print(format_link_heatmap(result.stats, net.params.n))
-        else:
-            from repro.analysis.report import format_topology_heatmap
-
-            print(format_topology_heatmap(result.stats, topo))
-    if recorder is not None:
-        from repro.analysis.report import format_congestion_timeline
-
-        print()
-        print(format_congestion_timeline(recorder.events))
+    else:
+        for line in (*head, f"verified:   {ok}",
+                     f"model time: {stats.summary()}", *tail):
+            print(line)
     return 0 if ok else 1
 
 
@@ -413,49 +395,24 @@ def cmd_machines(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from repro.plans import capture_transpose, plan_key, synthetic_matrix
     from repro.plans.cache import PlanCache
+    from repro.plans.serve import compile_plan
 
-    topo = _topology(args)
-    if topo is None:
-        return 2
-    params = _machine(args)
-    if args.workload:
-        pipeline = _build_cli_pipeline(args, topo)
-        if pipeline is None:
-            return 2
-        plan, _ = pipeline.compile(params)
-        key = pipeline.key(params)
-    else:
-        resolved = _resolve_problem(args)
-        if resolved is None:
-            return 2
-        before, after = resolved
-        _, plan = capture_transpose(
-            params,
-            synthetic_matrix(before),
-            after,
-            algorithm=args.algorithm,
-            topology=topo,
-        )
-        key = plan_key(
-            params, before, after, plan.algorithm, topology=topo.spec
-        )
+    resolved = _resolve(args)
+    plan = compile_plan(resolved)
     if args.cache_dir:
-        PlanCache(path=args.cache_dir).put(key, plan)
+        PlanCache(path=args.cache_dir).put(resolved.key, plan)
         print(f"cached {plan.describe()}", file=sys.stderr)
-        print(key)
+        print(resolved.key)
     elif args.out:
-        with open(args.out, "w") as fh:
-            fh.write(plan.dumps(indent=2))
-        print(
-            f"wrote {args.out}: {plan.describe()} "
+        _write_artifact(
+            args.out, plan.dumps(indent=2),
+            detail=f": {plan.describe()} "
             f"(fingerprint {plan.fingerprint[:16]})",
-            file=sys.stderr,
         )
     elif args.json:
         doc = json.loads(plan.dumps())
-        doc["key"] = key
+        doc["key"] = resolved.key
         emit_json("plan", doc)
     else:
         print(plan.dumps(indent=2))
@@ -463,101 +420,65 @@ def cmd_plan(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from repro import CubeNetwork
-    from repro.machine.faults import FaultError, FaultPlan, RoutingStalledError
+    from repro.machine.faults import FaultError, RoutingStalledError
     from repro.plans.ir import CompiledPlan, PlanError
     from repro.plans.replay import PlanReplayError, replay_plan
-    from repro.topology import parse_topology
 
     try:
         with open(args.plan) as fh:
             plan = CompiledPlan.loads(fh.read())
     except (OSError, PlanError) as exc:
-        print(f"cannot load plan: {exc}", file=sys.stderr)
-        return 2
-
+        raise UsageError(f"cannot load plan: {exc}") from exc
+    if args.recover is not None and plan.machine.topology != "cube":
+        raise UsageError(
+            f"bad --recover: the plan targets topology "
+            f"{plan.machine.topology!r}; resume-based recovery rewrites "
+            "cube schedules only"
+        )
     # Replay on the interconnect the plan was compiled for.
-    topo = parse_topology(plan.machine.topology, plan.machine.n)
-    on_cube = topo.name == "cube"
-    if args.recover is not None and not on_cube:
-        print(
-            f"bad --recover: the plan targets topology {topo.spec!r}; "
-            "resume-based recovery rewrites cube schedules only",
-            file=sys.stderr,
-        )
-        return 2
+    try:
+        network = plan.machine.network(args.faults)
+    except ValueError as exc:
+        raise UsageError(f"bad --faults spec: {exc}") from exc
+    faults = network.faults
+    policy = _policy(args.recover)
+    if policy is not None and args.checkpoint_every:
+        policy = policy.with_(checkpoint_every=args.checkpoint_every)
 
-    faults = None
-    if args.faults:
-        try:
-            faults = FaultPlan.from_spec(
-                plan.machine.n,
-                args.faults,
-                topology=None if on_cube else topo,
-            )
-        except ValueError as exc:
-            print(f"bad --faults spec: {exc}", file=sys.stderr)
-            return 2
+    recovery_doc = verified = None
+    try:
+        if policy is not None:
+            from repro.recovery import RecoveryFailedError, execute_with_recovery
 
-    recovery_doc = None
-    verified = None
-    network = CubeNetwork(plan.machine.to_params(), faults=faults, topology=topo)
-    if args.recover is not None:
-        from repro.recovery import (
-            RecoveryFailedError,
-            RecoveryPolicy,
-            execute_with_recovery,
-        )
-
-        try:
-            policy = RecoveryPolicy.from_spec(args.recover)
+            try:
+                outcome = execute_with_recovery(plan, network, policy=policy)
+            except RecoveryFailedError as exc:
+                print(f"recovery failed: {exc}", file=sys.stderr)
+                if not args.json:
+                    return 1
+                recovery_doc, verified = exc.report.as_dict(), False
+            else:
+                recovery_doc = outcome.report.as_dict()
+                verified = outcome.verified
+        else:
+            checkpoints = None
             if args.checkpoint_every:
-                policy = policy.with_(checkpoint_every=args.checkpoint_every)
-        except ValueError as exc:
-            print(f"bad --recover spec: {exc}", file=sys.stderr)
-            return 2
-        try:
-            outcome = execute_with_recovery(plan, network, policy=policy)
-        except PlanReplayError as exc:
-            print(f"replay rejected: {exc}", file=sys.stderr)
-            return 2
-        except RecoveryFailedError as exc:
-            print(f"recovery failed: {exc}", file=sys.stderr)
-            recovery_doc = exc.report.as_dict()
-            if args.json:
-                doc = {
-                    "plan": plan.describe(),
-                    "algorithm": plan.algorithm,
-                    "fingerprint": plan.fingerprint,
-                    "faults": None if faults is None else faults.describe(),
-                    "recovery": recovery_doc,
-                    "verified": False,
-                    "stats": network.stats.as_dict(),
-                }
-                emit_json("replay", doc)
-            return 1
-        recovery_doc = outcome.report.as_dict()
-        verified = outcome.verified
-    else:
-        checkpoints = None
-        if args.checkpoint_every:
-            from repro.recovery import CheckpointManager
+                from repro.recovery import CheckpointManager
 
-            checkpoints = CheckpointManager(every=args.checkpoint_every)
-        try:
+                checkpoints = CheckpointManager(every=args.checkpoint_every)
             replay_plan(plan, network, checkpoints=checkpoints)
-        except PlanReplayError as exc:
-            print(f"replay rejected: {exc}", file=sys.stderr)
-            return 2
-        except (FaultError, RoutingStalledError) as exc:
-            print(f"replay failed under faults: {exc}", file=sys.stderr)
-            return 1
-        if faults is not None or args.checkpoint_every:
-            recovery_doc = _stats_recovery_block(
-                network.stats, resolved="clean"
-            )
+            if faults is not None or args.checkpoint_every:
+                recovery_doc = _stats_recovery_block(
+                    network.stats, resolved="clean"
+                )
+    except PlanReplayError as exc:
+        raise UsageError(f"replay rejected: {exc}") from exc
+    except (FaultError, RoutingStalledError) as exc:
+        print(f"replay failed under faults: {exc}", file=sys.stderr)
+        return 1
+    rc = 0 if verified is not False else 1
     if args.json:
-        doc = {
+        emit_json("replay", {
             "plan": plan.describe(),
             "algorithm": plan.algorithm,
             "fingerprint": plan.fingerprint,
@@ -565,13 +486,12 @@ def cmd_replay(args) -> int:
             "recovery": recovery_doc,
             "verified": verified,
             "stats": network.stats.as_dict(),
-        }
-        emit_json("replay", doc)
-        return 0 if verified is not False else 1
+        })
+        return rc
     print(f"plan:       {plan.describe()}")
     if faults is not None:
         print(f"faults:     {faults.describe()}")
-    if recovery_doc is not None and args.recover is not None:
+    if policy is not None:
         print(
             f"recovery:   resolved={recovery_doc['resolved']}, "
             f"{recovery_doc['fault_encounters']} fault(s), "
@@ -581,33 +501,32 @@ def cmd_replay(args) -> int:
         )
         print(f"verified:   {verified}")
     print(f"model time: {network.stats.summary()}")
-    return 0 if verified is not False else 1
+    return rc
+
+
+def _request_docs(path: str) -> list:
+    """The JSON array of request objects a ``batch``/``serve`` file holds."""
+    with open(path) as fh:
+        docs = json.load(fh)
+    if not isinstance(docs, list):
+        raise ValueError("requests file must hold a JSON array")
+    return docs
 
 
 def cmd_batch(args) -> int:
-    from repro.plans.batch import BatchRequest, run_batch
+    from repro.plans.batch import BatchRequest, resolve_request, run_batch
     from repro.plans.cache import PlanCache
 
+    # Every request is resolved before any is served, so a malformed one
+    # rejects the file up front, as `serve` rejects at submission.
     try:
-        with open(args.requests) as fh:
-            docs = json.load(fh)
-        if not isinstance(docs, list):
-            raise ValueError("requests file must hold a JSON array")
-        requests = [BatchRequest.from_dict(d) for d in docs]
+        requests = [
+            resolve_request(BatchRequest.from_dict(d))
+            for d in _request_docs(args.requests)
+        ]
     except (OSError, ValueError, TypeError) as exc:
-        print(f"cannot load requests: {exc}", file=sys.stderr)
-        return 2
-
-    recovery = None
-    if args.recover is not None:
-        from repro.recovery import RecoveryPolicy
-
-        try:
-            recovery = RecoveryPolicy.from_spec(args.recover)
-        except ValueError as exc:
-            print(f"bad --recover spec: {exc}", file=sys.stderr)
-            return 2
-
+        raise UsageError(f"cannot load requests: {exc}") from exc
+    recovery = _policy(args.recover)
     cache = PlanCache(capacity=args.cache_size, path=args.cache_dir)
     reports = [
         run_batch(requests, cache=cache, recovery=recovery)
@@ -645,39 +564,20 @@ def cmd_service_chaos(args) -> int:
     from repro.service import ServerConfig, ServiceChaosSpec, run_service_chaos
 
     try:
-        spec = ServiceChaosSpec(
-            seed=args.seed,
-            requests=args.requests,
-            tenants=args.tenants,
-            n=args.n,
-            kill_rate=args.kill_rate,
-            hang_rate=args.hang_rate,
-            hang_seconds=args.hang_seconds,
-            poison_rate=args.poison_rate,
-            crash_rate=args.crash_rate,
-            slow_rate=args.slow_rate,
-            verify_sample=args.verify_sample,
-        )
-        config = ServerConfig(
-            workers=args.workers,
-            retries=args.retries,
+        spec = _from_flags(ServiceChaosSpec, args)
+        config = _from_flags(
+            ServerConfig, args,
             watchdog=_parse_watchdog(args.watchdog),
-            supervise=None if not args.no_supervise else False,
-            poison_threshold=args.poison_threshold,
+            supervise=False if args.no_supervise else None,
         )
     except ValueError as exc:
-        print(f"bad service chaos spec: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad service chaos spec: {exc}") from exc
     report = run_service_chaos(spec, config)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write_artifact(args.out, report.as_dict())
     if args.events_out:
-        _write_json(
-            args.events_out,
-            report.supervisor_events,
+        _write_artifact(
+            args.events_out, report.supervisor_events,
             label="supervisor event log",
         )
     ok = report.ok
@@ -701,18 +601,12 @@ def cmd_service_chaos(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.recovery import RecoveryPolicy, run_chaos
+    from repro.recovery import run_chaos
 
     if args.service:
         return cmd_service_chaos(args)
     topo = _topology(args)
-    if topo is None:
-        return 2
-    try:
-        policy = RecoveryPolicy.from_spec(args.recover or "")
-    except ValueError as exc:
-        print(f"bad --recover spec: {exc}", file=sys.stderr)
-        return 2
+    policy = _policy(args.recover or "")
     if args.modes is None:
         # Recovery replays rewrite cube schedules, so the default soak
         # on a non-cube interconnect runs live trials only.
@@ -751,13 +645,9 @@ def cmd_chaos(args) -> int:
             topology=topo,
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from exc
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write_artifact(args.out, report.as_dict())
     if args.json:
         emit_json("chaos", report.as_dict())
     else:
@@ -766,7 +656,7 @@ def cmd_chaos(args) -> int:
 
 
 def _server_config(args):
-    """Build a ServerConfig from flags or a JSON spec; None on bad input."""
+    """Build a ServerConfig from flags or a JSON spec file."""
     from dataclasses import replace
 
     from repro.service import ServerConfig
@@ -776,41 +666,40 @@ def _server_config(args):
             with open(args.config) as fh:
                 config = ServerConfig.from_dict(json.load(fh))
         else:
-            config = ServerConfig(
-                workers=args.workers,
-                queue_capacity=args.queue_capacity,
+            config = _from_flags(
+                ServerConfig, args,
                 tenant_pending=args.tenant_pending or None,
-                tenant_rate=args.tenant_rate,
-                max_batch=args.max_batch,
                 cache_capacity=args.cache_size,
-                cache_dir=args.cache_dir,
                 recovery=args.recover,
-                retries=args.retries,
                 watchdog=_parse_watchdog(args.watchdog),
-                poison_threshold=args.poison_threshold,
-                breaker=args.breaker,
-                brownout=args.brownout,
+                trace=False,
             )
         # Observability flags compose with either source: asking for a
         # trace file arms tracing, and --metrics-port always wins.
-        if getattr(args, "trace", None):
+        if args.trace:
             config = replace(config, trace=True)
-        if getattr(args, "metrics_port", None) is not None:
+        if args.metrics_port is not None:
             config = replace(config, metrics_port=args.metrics_port)
         return config
     except (OSError, ValueError, TypeError) as exc:
-        print(f"bad server config: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(f"bad server config: {exc}") from exc
 
 
-def _write_json(path: str, doc, *, label: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {label} {path}", file=sys.stderr)
+def _load_spec(args):
+    """The seeded soak ``loadgen`` and ``top`` drive, from their flags."""
+    from repro.service import LoadSpec
+
+    # --workload-every only means something alongside --workload
+    # (which `top` does not take).
+    every = args.workload_every if getattr(args, "workload", None) else 0
+    try:
+        return _from_flags(LoadSpec, args, workload_every=every)
+    except ValueError as exc:
+        raise UsageError(f"bad {args.command} spec: {exc}") from exc
 
 
 def cmd_serve(args) -> int:
+    from repro.obs.ops import format_prometheus
     from repro.service import (
         AdmissionRejectedError,
         TransposeRequest,
@@ -818,25 +707,18 @@ def cmd_serve(args) -> int:
     )
 
     config = _server_config(args)
-    if config is None:
-        return 2
+    base = {"tenant": "default"}
+    if args.topology:
+        # Default interconnect for requests that don't name one; a
+        # request's own "topology" field still wins.
+        base["topology"] = args.topology
     try:
-        with open(args.requests) as fh:
-            docs = json.load(fh)
-        if not isinstance(docs, list):
-            raise ValueError("requests file must hold a JSON array")
-        base = {"tenant": "default"}
-        if args.topology:
-            # Default interconnect for requests that don't name one; a
-            # request's own "topology" field still wins.
-            base["topology"] = args.topology
         requests = [
             TransposeRequest.from_dict({**base, "request_id": i, **d})
-            for i, d in enumerate(docs)
+            for i, d in enumerate(_request_docs(args.requests))
         ]
     except (OSError, ValueError, TypeError) as exc:
-        print(f"cannot load requests: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot load requests: {exc}") from exc
 
     with TransposeServer(config) as server:
         pendings = []
@@ -844,34 +726,24 @@ def cmd_serve(args) -> int:
             try:
                 pendings.append(server.submit(request))
             except ValueError as exc:
-                print(
-                    f"request {request.request_id} invalid: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
+                raise UsageError(
+                    f"request {request.request_id} invalid: {exc}"
+                ) from exc
             except AdmissionRejectedError as exc:
                 if args.verbose:
                     print(f"shed: {exc}", file=sys.stderr)
         for pending in pendings:
             pending.result(timeout=600.0)
     report = server.report()
-    if args.trace:
-        _write_json(args.trace, server.trace_document(), label="trace")
-    if args.flight_out and report.flight_reports:
-        _write_json(
-            args.flight_out, report.flight_reports, label="flight dump"
-        )
-    if args.metrics_out:
-        from repro.obs.ops import format_prometheus
-
-        with open(args.metrics_out, "w") as fh:
-            fh.write(format_prometheus(server.metrics()))
-        print(f"wrote metrics {args.metrics_out}", file=sys.stderr)
-    failed = report.slo()["failed"]
+    _write_exports(
+        args, trace=server.trace_document, flights=report.flight_reports,
+        metrics=lambda: format_prometheus(server.metrics()),
+    )
+    slo = report.slo()
+    failed = slo["failed"]
     if args.json:
         emit_json("serve", report.as_dict(with_outcomes=args.outcomes))
         return 0 if failed == 0 else 1
-    slo = report.slo()
     lat = slo["latency_s"]["total"]
     print(
         f"served {slo['served']}/{slo['requests']} request(s) on "
@@ -892,49 +764,17 @@ def cmd_serve(args) -> int:
 
 
 def cmd_loadgen(args) -> int:
-    from repro.service import LoadSpec, run_loadgen
+    from repro.service import run_loadgen
 
     config = _server_config(args)
-    if config is None:
-        return 2
-    try:
-        spec = LoadSpec(
-            seed=args.seed,
-            tenants=args.tenants,
-            requests=args.requests,
-            mode=args.mode,
-            rate=args.rate,
-            shapes=args.shapes,
-            n=args.n,
-            machine=args.machine,
-            fault_rate=args.fault_rate,
-            deadline=args.deadline,
-            verify_sample=args.verify_sample,
-            request_timeout=args.request_timeout,
-            workload=args.workload,
-            workload_every=args.workload_every if args.workload else 0,
-        )
-    except ValueError as exc:
-        print(f"bad loadgen spec: {exc}", file=sys.stderr)
-        return 2
-    report = run_loadgen(spec, config)
+    report = run_loadgen(_load_spec(args), config)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.trace and report.trace is not None:
-        _write_json(args.trace, report.trace, label="trace")
-    if args.flight_out and report.server.flight_reports:
-        _write_json(
-            args.flight_out,
-            report.server.flight_reports,
-            label="flight dump",
-        )
-    if args.metrics_out:
-        with open(args.metrics_out, "w") as fh:
-            fh.write(report.metrics_text)
-        print(f"wrote metrics {args.metrics_out}", file=sys.stderr)
+        _write_artifact(args.out, report.as_dict())
+    _write_exports(
+        args, trace=lambda: report.trace,
+        flights=report.server.flight_reports,
+        metrics=lambda: report.metrics_text,
+    )
     if args.json:
         emit_json("loadgen", report.as_dict())
     else:
@@ -953,41 +793,18 @@ def cmd_top(args) -> int:
     """Drive a seeded soak and repaint a live ops dashboard over it."""
     import threading
 
-    from repro.obs.ops import render_top
-    from repro.service import LoadSpec, TransposeServer, build_workload
-    from repro.service.loadgen import _drive_closed, _drive_open
+    from repro.obs.ops import format_prometheus, render_top
+    from repro.service import TransposeServer, build_workload, drive
 
     config = _server_config(args)
-    if config is None:
-        return 2
-    try:
-        spec = LoadSpec(
-            seed=args.seed,
-            tenants=args.tenants,
-            requests=args.requests,
-            mode=args.mode,
-            rate=args.rate,
-            shapes=args.shapes,
-            n=args.n,
-            machine=args.machine,
-            fault_rate=args.fault_rate,
-            deadline=args.deadline,
-            verify_sample=0,
-        )
-    except ValueError as exc:
-        print(f"bad soak spec: {exc}", file=sys.stderr)
-        return 2
-
+    spec = _load_spec(args)
     server = TransposeServer(config)
     requests = build_workload(spec)
     done = threading.Event()
 
-    def drive() -> None:
+    def driver_main() -> None:
         try:
-            if spec.mode == "closed":
-                _drive_closed(server, requests, spec)
-            else:
-                _drive_open(server, requests, spec)
+            drive(server, requests, spec)
         finally:
             done.set()
 
@@ -1002,7 +819,7 @@ def cmd_top(args) -> int:
                 f"metrics on http://127.0.0.1:{server.exporter.port}/metrics",
                 file=sys.stderr,
             )
-        driver = threading.Thread(target=drive, daemon=True)
+        driver = threading.Thread(target=driver_main, daemon=True)
         driver.start()
         try:
             while not done.wait(args.interval):
@@ -1011,19 +828,11 @@ def cmd_top(args) -> int:
             print("\ninterrupted; draining...", file=sys.stderr)
         driver.join(timeout=1.0)
     frame(clear=not args.plain)
-    if args.trace:
-        _write_json(args.trace, server.trace_document(), label="trace")
     report = server.report()
-    if args.flight_out and report.flight_reports:
-        _write_json(
-            args.flight_out, report.flight_reports, label="flight dump"
-        )
-    if args.metrics_out:
-        from repro.obs.ops import format_prometheus
-
-        with open(args.metrics_out, "w") as fh:
-            fh.write(format_prometheus(server.metrics()))
-        print(f"wrote metrics {args.metrics_out}", file=sys.stderr)
+    _write_exports(
+        args, trace=server.trace_document, flights=report.flight_reports,
+        metrics=lambda: format_prometheus(server.metrics()),
+    )
     return 0 if report.slo()["failed"] == 0 else 1
 
 
@@ -1052,8 +861,6 @@ def cmd_baseline(args) -> int:
     if args.trace_dir or args.bench_out:
         from repro.obs import ChromeTraceSink, Instrumentation
 
-        if args.trace_dir:
-            os.makedirs(args.trace_dir, exist_ok=True)
         scenarios = {}
         for scenario in DEFAULT_SUITE:
             sink = ChromeTraceSink()
@@ -1066,16 +873,277 @@ def cmd_baseline(args) -> int:
                 sink.write(path)
                 print(f"wrote {path}", file=sys.stderr)
         if args.bench_out:
-            doc = {
+            _write_artifact(args.bench_out, {
                 "suite": [s.describe() for s in DEFAULT_SUITE],
                 "counters": scenarios,
                 "check": None if report is None else report.as_dict(),
-            }
-            with open(args.bench_out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.bench_out}", file=sys.stderr)
+            })
     return rc
+
+
+# -- flags -------------------------------------------------------------------
+#
+# Each flag is defined once, in the helper below that owns it; a command
+# whose default differs passes it in.
+
+
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    return parse
+
+
+def machine_flags(p) -> None:
+    p.add_argument("--machine", choices=["ipsc", "cm", "custom"], default="ipsc")
+    p.add_argument("--tau", type=float, default=1.0, help="custom start-up")
+    p.add_argument("--t-c", type=float, default=1.0)
+    p.add_argument("--n-port", action="store_true")
+
+
+def size_flags(p, *, n: int = 6, elements: int = 1 << 16) -> None:
+    p.add_argument("-n", type=int, default=n, help="cube dimension")
+    p.add_argument(
+        "--elements", type=int, default=elements,
+        help="matrix elements (power of 2)",
+    )
+
+
+def problem_flags(p) -> None:
+    p.add_argument(
+        "--layout", choices=["2d", "1d-rows", "1d-cols"], default="2d"
+    )
+    p.add_argument(
+        "--algorithm",
+        default="auto",
+        help="strategy name (default auto; e.g. spt, dpt, mpt, router)",
+    )
+
+
+def json_flag(p) -> None:
+    p.add_argument(
+        "--json", action="store_true", help="machine-readable JSON output"
+    )
+
+
+def topology_flag(p, *, help: str | None = None) -> None:
+    p.add_argument(
+        "--topology",
+        default=None,
+        metavar="SPEC",
+        help=help
+        or "interconnect topology: cube (default), torus:4x4x4, "
+        "mesh:8x8, or dragonfly:K,M; a non-cube topology overrides "
+        "-n (node count must be a power of two)",
+    )
+
+
+def workload_flag(p) -> None:
+    p.add_argument(
+        "--workload",
+        default=None,
+        metavar="SPEC",
+        help="composite permutation pipeline instead of a plain "
+        "transpose: [pipeline:]stage(+stage)*[@RxC] with stages "
+        "transpose, bitrev, gray, binary, dimperm:<perm>, or the "
+        "fft preset (e.g. pipeline:bitrev+transpose@13x11, "
+        "fft@64x64); --elements supplies a square default shape "
+        "and --algorithm is ignored",
+    )
+
+
+def faults_flag(p) -> None:
+    p.add_argument(
+        "--faults",
+        default=None,
+        metavar="SPEC",
+        help="reproducible fault scenario as comma-separated key=value: "
+        "seed=S, link_rate=R, transient_rate=R, window=W, "
+        "nodes=3+9, links=0-1+6-4 (grammar: docs/fault_model.md)",
+    )
+
+
+def checkpoint_flag(p) -> None:
+    p.add_argument(
+        "--checkpoint-every",
+        type=_int_at_least(0),
+        default=0,
+        metavar="K",
+        help="snapshot node memories every K phases (0 = off); with "
+        "replay --recover it overrides the policy's cadence",
+    )
+
+
+def recover_flag(p, *, default: str | None = None, bare: bool = True) -> None:
+    """``--recover [SPEC]``; ``bare`` lets the flag stand alone."""
+    p.add_argument(
+        "--recover",
+        nargs="?" if bare else None,
+        const="" if bare else None,
+        default=default,
+        metavar="SPEC",
+        help="recovery policy for faulted work: checkpoint, back off "
+        "transient faults, surgically rewrite around permanent ones "
+        "(RecoveryPolicy.from_spec, e.g. every=4,surgery=off"
+        + (f"; default {default})" if default else ")"),
+    )
+
+
+def cache_flags(p, *, size: int | None = None) -> None:
+    p.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="on-disk content-addressed plan store",
+    )
+    if size is not None:
+        p.add_argument(
+            "--cache-size", type=_int_at_least(1), default=size,
+            help="in-memory plan cache (LRU) capacity",
+        )
+
+
+def out_flag(p, what: str) -> None:
+    p.add_argument(
+        "--out", default=None, metavar="FILE", help=f"write {what} here"
+    )
+
+
+def soak_flags(p, *, requests: int) -> None:
+    """The seeded synthetic soak ``loadgen`` and ``top`` both drive."""
+    p.add_argument("--seed", type=int, default=7, help="workload seed")
+    p.add_argument(
+        "--tenants", type=int, default=4, help="tenant count (round-robin)"
+    )
+    p.add_argument(
+        "--requests", type=int, default=requests, help="total request count"
+    )
+    p.add_argument(
+        "--mode",
+        choices=["closed", "open"],
+        default="closed",
+        help="closed: one waiting client per tenant; open: seeded "
+        "arrival schedule that never waits (drives shedding)",
+    )
+    p.add_argument(
+        "--rate", type=float, default=200.0,
+        help="open-loop offered load (requests/second)",
+    )
+    p.add_argument(
+        "--shapes", type=int, default=4, help="distinct problem shapes"
+    )
+    p.add_argument("-n", type=int, default=4, help="cube dimension")
+    p.add_argument("--machine", choices=["ipsc", "cm"], default="cm")
+    p.add_argument(
+        "--fault-rate", type=float, default=0.0,
+        help="probability a request carries a seeded fault spec",
+    )
+    p.add_argument(
+        "--deadline", type=float, default=None,
+        help="relative deadline in seconds applied to every request",
+    )
+
+
+def supervision_flags(p, *, watchdog: str | None) -> None:
+    p.add_argument(
+        "--retries", type=int, default=2,
+        help="supervisor re-dispatch attempts after a worker death "
+        "(0 disables retries)",
+    )
+    p.add_argument(
+        "--watchdog", default=watchdog, metavar="SECONDS",
+        help="declare a worker hung after one request runs this long "
+        f"('off' disables; default {watchdog or 'off'})",
+    )
+    p.add_argument(
+        "--poison-threshold", type=int, default=2,
+        help="consecutive worker kills before a request is "
+        "quarantined as poison",
+    )
+
+
+def server_flags(p) -> None:
+    p.add_argument(
+        "--config",
+        default=None,
+        metavar="FILE",
+        help="server config as JSON (overrides the flags below)",
+    )
+    p.add_argument(
+        "--workers", type=int, default=2, help="worker thread count"
+    )
+    p.add_argument(
+        "--queue-capacity", type=int, default=64,
+        help="admission queue depth before shedding",
+    )
+    p.add_argument(
+        "--tenant-pending", type=int, default=16,
+        help="max queued requests per tenant (0 = unlimited)",
+    )
+    p.add_argument(
+        "--tenant-rate", type=float, default=None,
+        help="per-tenant admission rate limit (requests/second)",
+    )
+    p.add_argument(
+        "--max-batch", type=int, default=4,
+        help="same-plan requests a worker drains per dequeue",
+    )
+    cache_flags(p, size=256)
+    recover_flag(p, default="every=4", bare=False)
+    p.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help="arm request-scoped tracing and write the merged "
+        "dual-axis Perfetto trace (one track per worker) here",
+    )
+    p.add_argument(
+        "--flight-out",
+        default=None,
+        metavar="FILE",
+        help="write flight-recorder dumps from requests that ended "
+        "badly (deadline miss, failure, fault escalation) here",
+    )
+    p.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="FILE",
+        help="write a Prometheus text snapshot of the merged worker "
+        "metrics after the run",
+    )
+    p.add_argument(
+        "--metrics-port",
+        type=int,
+        default=None,
+        metavar="PORT",
+        help="serve GET /metrics (Prometheus text) on this port "
+        "while the server runs (0 = ephemeral)",
+    )
+    supervision_flags(p, watchdog=None)
+    p.add_argument(
+        "--breaker",
+        default=None,
+        metavar="SPEC",
+        help="circuit-breaker policy, e.g. "
+        "'window=16,threshold=0.5,cooldown=1.0,key=plan' "
+        "(BreakerPolicy.from_spec; default off)",
+    )
+    p.add_argument(
+        "--brownout",
+        default=None,
+        metavar="SPEC",
+        help="overload brownout ladder, e.g. "
+        "'slo=0.25,objective=0.9,up=1.0,down=0.25,hold=3' "
+        "(BrownoutPolicy.from_spec; default off)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1086,73 +1154,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--machine", choices=["ipsc", "cm", "custom"], default="ipsc")
-        p.add_argument("-n", type=int, default=6, help="cube dimension")
-        p.add_argument("--tau", type=float, default=1.0, help="custom start-up")
-        p.add_argument("--t-c", dest="t_c", type=float, default=1.0)
-        p.add_argument("--n-port", action="store_true")
-        p.add_argument(
-            "--elements", type=int, default=1 << 16, help="matrix elements (power of 2)"
-        )
-
-    def json_flag(p):
-        p.add_argument(
-            "--json", action="store_true", help="machine-readable JSON output"
-        )
-
-    def topology_flag(p, *, default=None):
-        p.add_argument(
-            "--topology",
-            default=default,
-            metavar="SPEC",
-            help="interconnect topology: cube (default), torus:4x4x4, "
-            "mesh:8x8, or dragonfly:K,M; a non-cube topology overrides "
-            "-n (node count must be a power of two)",
-        )
-
-    def problem(p):
-        p.add_argument(
-            "--layout", choices=["2d", "1d-rows", "1d-cols"], default="2d"
-        )
-        p.add_argument(
-            "--algorithm",
-            default="auto",
-            help="strategy name (default auto; e.g. spt, dpt, mpt, router)",
-        )
-
     pa = sub.add_parser("advise", help="rank algorithms analytically (§9)")
-    common(pa)
+    machine_flags(pa)
+    size_flags(pa)
     json_flag(pa)
     pa.set_defaults(fn=cmd_advise)
 
-    def workload_flag(p):
-        p.add_argument(
-            "--workload",
-            default=None,
-            metavar="SPEC",
-            help="composite permutation pipeline instead of a plain "
-            "transpose: [pipeline:]stage(+stage)*[@RxC] with stages "
-            "transpose, bitrev, gray, binary, dimperm:<perm>, or the "
-            "fft preset (e.g. pipeline:bitrev+transpose@13x11, "
-            "fft@64x64); --elements supplies a square default shape "
-            "and --algorithm is ignored",
-        )
-
     pr = sub.add_parser("run", help="run one simulated transpose")
-    common(pr)
-    problem(pr)
+    machine_flags(pr)
+    size_flags(pr)
+    problem_flags(pr)
     topology_flag(pr)
     workload_flag(pr)
     json_flag(pr)
-    pr.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="reproducible fault scenario as comma-separated key=value: "
-        "seed=S, link_rate=R, transient_rate=R, window=W, "
-        "nodes=3+9, links=0-1+6-4 (see FaultPlan.from_spec)",
-    )
+    faults_flag(pr)
     pr.add_argument(
         "--heatmap",
         action="store_true",
@@ -1170,14 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Chrome trace-event JSON (load in Perfetto / "
         "chrome://tracing)",
     )
-    pr.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="K",
-        help="snapshot node memories every K phases (0 = off); the "
-        "run's recovery accounting lands in the --json output",
-    )
+    checkpoint_flag(pr)
     pr.set_defaults(fn=cmd_run)
 
     pm = sub.add_parser("machines", help="show machine presets")
@@ -1188,48 +1196,21 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser(
         "plan", help="compile a transpose schedule without executing payloads"
     )
-    common(pp)
-    problem(pp)
+    machine_flags(pp)
+    size_flags(pp)
+    problem_flags(pp)
     topology_flag(pp)
     workload_flag(pp)
     json_flag(pp)
-    pp.add_argument("--out", default=None, metavar="FILE", help="write plan JSON here")
-    pp.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="store the plan content-addressed in this directory "
-        "(prints the key)",
-    )
+    out_flag(pp, "plan JSON")
+    cache_flags(pp)
     pp.set_defaults(fn=cmd_plan)
 
     py = sub.add_parser("replay", help="execute a compiled plan")
     py.add_argument("plan", help="plan JSON file (from `repro plan --out`)")
-    py.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="replay on a faulted network (see FaultPlan.from_spec)",
-    )
-    py.add_argument(
-        "--recover",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="SPEC",
-        help="resume-based execution: checkpoint, back off transient "
-        "faults, surgically rewrite around permanent ones; optional "
-        "policy spec, e.g. every=4,surgery=off "
-        "(see RecoveryPolicy.from_spec)",
-    )
-    py.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="K",
-        help="checkpoint cadence in phases (with --recover overrides "
-        "the policy; alone just attaches snapshotting to the replay)",
-    )
+    faults_flag(py)
+    recover_flag(py)
+    checkpoint_flag(py)
     json_flag(py)
     py.set_defaults(fn=cmd_replay)
 
@@ -1241,27 +1222,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file: array of request objects "
         '(e.g. [{"elements": 4096, "n": 4}])',
     )
-    pb.add_argument(
-        "--cache-dir", default=None, metavar="DIR", help="on-disk plan store"
-    )
-    pb.add_argument(
-        "--cache-size", type=int, default=128, help="in-memory LRU capacity"
-    )
+    cache_flags(pb, size=128)
     pb.add_argument(
         "--repeat",
         type=int,
         default=1,
         help="run the request set this many times (later runs hit the cache)",
     )
-    pb.add_argument(
-        "--recover",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="SPEC",
-        help="serve faulted requests resume-based instead of through "
-        "the restart ladder (optional RecoveryPolicy.from_spec string)",
-    )
+    recover_flag(pb)
     json_flag(pb)
     pb.set_defaults(fn=cmd_batch)
 
@@ -1270,14 +1238,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="soak seeded random fault plans through recovery, "
         "verifying every outcome",
     )
-    pc.add_argument("-n", type=int, default=4, help="cube dimension")
-    pc.add_argument(
-        "--elements", type=int, default=256, help="matrix elements (power of 2)"
-    )
-    pc.add_argument(
-        "--layout", choices=["2d", "1d-rows", "1d-cols"], default="2d"
-    )
-    pc.add_argument("--algorithm", default="auto")
+    size_flags(pc, n=4, elements=256)
+    problem_flags(pc)
     topology_flag(pc)
     pc.add_argument(
         "--seeds", type=int, default=50, help="fault-plan seeds 0..N-1"
@@ -1289,17 +1251,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: all three on a cube, live on other topologies)",
     )
     pc.add_argument(
-        "--link-rate",
-        dest="link_rate",
-        type=float,
-        default=0.03,
+        "--link-rate", type=float, default=0.03,
         help="permanent per-directed-link failure probability",
     )
     pc.add_argument(
-        "--transient-rate",
-        dest="transient_rate",
-        type=float,
-        default=0.10,
+        "--transient-rate", type=float, default=0.10,
         help="transient per-link failure probability",
     )
     pc.add_argument(
@@ -1314,25 +1270,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(checksummed delivery detects and retransmits)",
     )
     pc.add_argument(
-        "--corrupt-intensity",
-        dest="corrupt_intensity",
-        type=float,
-        default=0.4,
-        metavar="RATE",
+        "--corrupt-intensity", type=float, default=0.4, metavar="RATE",
         help="per-phase strike probability on a corrupting link",
     )
-    pc.add_argument(
-        "--recover",
-        default=None,
-        metavar="SPEC",
-        help="recovery policy spec (RecoveryPolicy.from_spec)",
-    )
-    pc.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the full JSON recovery report here (CI artifact)",
-    )
+    recover_flag(pc, bare=False)
+    out_flag(pc, "the full JSON report (CI artifact)")
     pc.add_argument(
         "--verbose",
         action="store_true",
@@ -1359,211 +1301,54 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="serving worker pool size"
     )
     pc.add_argument(
-        "--kill-rate",
-        dest="kill_rate",
-        type=float,
-        default=0.08,
+        "--kill-rate", type=float, default=0.08,
         help="per-execution probability the worker is killed mid-request",
     )
     pc.add_argument(
-        "--hang-rate",
-        dest="hang_rate",
-        type=float,
-        default=0.0,
+        "--hang-rate", type=float, default=0.0,
         help="per-execution probability the worker hangs (watchdog bait)",
     )
     pc.add_argument(
-        "--hang-seconds",
-        dest="hang_seconds",
-        type=float,
-        default=0.3,
+        "--hang-seconds", type=float, default=0.3,
         help="how long a chaos hang wedges the worker",
     )
     pc.add_argument(
-        "--poison-rate",
-        dest="poison_rate",
-        type=float,
-        default=0.04,
+        "--poison-rate", type=float, default=0.04,
         help="probability a request is poisonous (kills every worker "
         "that executes it, until quarantined)",
     )
     pc.add_argument(
-        "--crash-rate",
-        dest="crash_rate",
-        type=float,
-        default=0.0,
+        "--crash-rate", type=float, default=0.0,
         help="probability a request fails with a plain exception",
     )
     pc.add_argument(
-        "--slow-rate",
-        dest="slow_rate",
-        type=float,
-        default=0.0,
+        "--slow-rate", type=float, default=0.0,
         help="probability an execution is slowed (stays under watchdog)",
     )
     pc.add_argument(
-        "--verify-sample",
-        dest="verify_sample",
-        type=int,
-        default=6,
+        "--verify-sample", type=int, default=6,
         help="served requests re-run solo for bit-identity",
     )
-    pc.add_argument(
-        "--retries", type=int, default=2,
-        help="supervisor re-dispatch attempts (0 disables retries)",
-    )
-    pc.add_argument(
-        "--watchdog", default="0.15", metavar="SECONDS",
-        help="hung-worker deadline ('off' disables; default 0.15)",
-    )
-    pc.add_argument(
-        "--poison-threshold", dest="poison_threshold", type=int, default=2,
-        help="consecutive kills before poison quarantine",
-    )
+    supervision_flags(pc, watchdog="0.15")
     pc.add_argument(
         "--no-supervise",
-        dest="no_supervise",
         action="store_true",
         help="force the supervisor off even when retries/watchdog are set",
     )
     pc.add_argument(
         "--events-out",
-        dest="events_out",
         default=None,
         metavar="FILE",
         help="write the supervisor's JSON event log here (CI artifact)",
     )
     pc.add_argument(
         "--expect-worker-loss",
-        dest="expect_worker_loss",
         action="store_true",
         help="pass only if the pool demonstrably lost workers (the "
         "disabled-resilience control arm)",
     )
     json_flag(pc)
     pc.set_defaults(fn=cmd_chaos)
-
-    def server_flags(p):
-        p.add_argument(
-            "--config",
-            default=None,
-            metavar="FILE",
-            help="server config as JSON (overrides the flags below)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=2, help="worker thread count"
-        )
-        p.add_argument(
-            "--queue-capacity",
-            dest="queue_capacity",
-            type=int,
-            default=64,
-            help="admission queue depth before shedding",
-        )
-        p.add_argument(
-            "--tenant-pending",
-            dest="tenant_pending",
-            type=int,
-            default=16,
-            help="max queued requests per tenant (0 = unlimited)",
-        )
-        p.add_argument(
-            "--tenant-rate",
-            dest="tenant_rate",
-            type=float,
-            default=None,
-            help="per-tenant admission rate limit (requests/second)",
-        )
-        p.add_argument(
-            "--max-batch",
-            dest="max_batch",
-            type=int,
-            default=4,
-            help="same-plan requests a worker drains per dequeue",
-        )
-        p.add_argument(
-            "--cache-size", type=int, default=256, help="plan cache capacity"
-        )
-        p.add_argument(
-            "--cache-dir", default=None, metavar="DIR", help="on-disk plan store"
-        )
-        p.add_argument(
-            "--recover",
-            default="every=4",
-            metavar="SPEC",
-            help="recovery policy for faulted requests "
-            "(RecoveryPolicy.from_spec; default every=4)",
-        )
-        p.add_argument(
-            "--trace",
-            default=None,
-            metavar="FILE",
-            help="arm request-scoped tracing and write the merged "
-            "dual-axis Perfetto trace (one track per worker) here",
-        )
-        p.add_argument(
-            "--flight-out",
-            dest="flight_out",
-            default=None,
-            metavar="FILE",
-            help="write flight-recorder dumps from requests that ended "
-            "badly (deadline miss, failure, fault escalation) here",
-        )
-        p.add_argument(
-            "--metrics-out",
-            dest="metrics_out",
-            default=None,
-            metavar="FILE",
-            help="write a Prometheus text snapshot of the merged worker "
-            "metrics after the run",
-        )
-        p.add_argument(
-            "--metrics-port",
-            dest="metrics_port",
-            type=int,
-            default=None,
-            metavar="PORT",
-            help="serve GET /metrics (Prometheus text) on this port "
-            "while the server runs (0 = ephemeral)",
-        )
-        p.add_argument(
-            "--retries",
-            type=int,
-            default=2,
-            help="supervisor re-dispatch attempts after a worker death "
-            "(0 disables retries)",
-        )
-        p.add_argument(
-            "--watchdog",
-            default=None,
-            metavar="SECONDS",
-            help="declare a worker hung after one request runs this "
-            "long ('off' disables; default off)",
-        )
-        p.add_argument(
-            "--poison-threshold",
-            dest="poison_threshold",
-            type=int,
-            default=2,
-            help="consecutive worker kills before a request is "
-            "quarantined as poison",
-        )
-        p.add_argument(
-            "--breaker",
-            default=None,
-            metavar="SPEC",
-            help="circuit-breaker policy, e.g. "
-            "'window=16,threshold=0.5,cooldown=1.0,key=plan' "
-            "(BreakerPolicy.from_spec; default off)",
-        )
-        p.add_argument(
-            "--brownout",
-            default=None,
-            metavar="SPEC",
-            help="overload brownout ladder, e.g. "
-            "'slo=0.25,objective=0.9,up=1.0,down=0.25,hold=3' "
-            "(BrownoutPolicy.from_spec; default off)",
-        )
 
     ps = sub.add_parser(
         "serve",
@@ -1577,10 +1362,8 @@ def build_parser() -> argparse.ArgumentParser:
         '(e.g. [{"tenant": "a", "elements": 4096, "n": 4}])',
     )
     server_flags(ps)
-    ps.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
+    topology_flag(
+        ps,
         help="default interconnect applied to requests that don't name "
         "one (cube, torus:4x4x4, mesh:8x8, dragonfly:K,M)",
     )
@@ -1602,56 +1385,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive a server with seeded synthetic multi-tenant traffic "
         "and spot-check outcomes bit-identically against solo runs",
     )
-    pg.add_argument("--seed", type=int, default=7, help="workload seed")
+    soak_flags(pg, requests=200)
     pg.add_argument(
-        "--tenants", type=int, default=4, help="tenant count (round-robin)"
-    )
-    pg.add_argument(
-        "--requests", type=int, default=200, help="total request count"
-    )
-    pg.add_argument(
-        "--mode",
-        choices=["closed", "open"],
-        default="closed",
-        help="closed: one waiting client per tenant; open: seeded "
-        "arrival schedule that never waits (drives shedding)",
-    )
-    pg.add_argument(
-        "--rate",
-        type=float,
-        default=200.0,
-        help="open-loop offered load (requests/second)",
-    )
-    pg.add_argument(
-        "--shapes", type=int, default=4, help="distinct problem shapes"
-    )
-    pg.add_argument("-n", type=int, default=4, help="cube dimension")
-    pg.add_argument(
-        "--machine", choices=["ipsc", "cm"], default="cm"
-    )
-    pg.add_argument(
-        "--fault-rate",
-        dest="fault_rate",
-        type=float,
-        default=0.0,
-        help="probability a request carries a seeded fault spec",
-    )
-    pg.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="relative deadline in seconds applied to every request",
-    )
-    pg.add_argument(
-        "--verify-sample",
-        dest="verify_sample",
-        type=int,
-        default=8,
+        "--verify-sample", type=int, default=8,
         help="served fault-free requests re-run solo for bit-identity",
     )
     pg.add_argument(
         "--request-timeout",
-        dest="request_timeout",
         type=float,
         default=120.0,
         metavar="SECONDS",
@@ -1667,19 +1407,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pg.add_argument(
         "--workload-every",
-        dest="workload_every",
         type=int,
         default=4,
         metavar="K",
         help="every k-th request becomes a --workload pipeline "
         "request (default 4; only meaningful with --workload)",
     )
-    pg.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the full JSON load report here (CI artifact)",
-    )
+    out_flag(pg, "the full JSON load report (CI artifact)")
     server_flags(pg)
     json_flag(pg)
     pg.set_defaults(fn=cmd_loadgen)
@@ -1690,34 +1424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dashboard (throughput, queue depth, SLO burn, per-tenant "
         "table) while it runs",
     )
-    pt.add_argument("--seed", type=int, default=7, help="workload seed")
-    pt.add_argument(
-        "--tenants", type=int, default=4, help="tenant count (round-robin)"
-    )
-    pt.add_argument(
-        "--requests", type=int, default=400, help="total request count"
-    )
-    pt.add_argument(
-        "--mode", choices=["closed", "open"], default="closed",
-        help="drive mode (see loadgen)",
-    )
-    pt.add_argument(
-        "--rate", type=float, default=200.0,
-        help="open-loop offered load (requests/second)",
-    )
-    pt.add_argument(
-        "--shapes", type=int, default=4, help="distinct problem shapes"
-    )
-    pt.add_argument("-n", type=int, default=4, help="cube dimension")
-    pt.add_argument("--machine", choices=["ipsc", "cm"], default="cm")
-    pt.add_argument(
-        "--fault-rate", dest="fault_rate", type=float, default=0.0,
-        help="probability a request carries a seeded fault spec",
-    )
-    pt.add_argument(
-        "--deadline", type=float, default=None,
-        help="relative deadline in seconds applied to every request",
-    )
+    soak_flags(pt, requests=400)
     pt.add_argument(
         "--interval", type=float, default=0.5,
         help="seconds between dashboard repaints",
@@ -1769,7 +1476,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

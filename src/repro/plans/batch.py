@@ -30,7 +30,22 @@ __all__ = [
     "resolve_problem",
     "resolve_request",
     "run_batch",
+    "strict_from_dict",
 ]
+
+
+def strict_from_dict(cls, d: Mapping, what: str):
+    """``cls(**d)`` for dataclass ``cls``, refusing keys it has no field for.
+
+    The one parser behind every request/spec/config ``from_dict``, so a
+    typo'd key fails loudly instead of silently taking a default.
+    """
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(
+            f"unknown {what} field(s): {', '.join(sorted(unknown))}"
+        )
+    return cls(**d)
 
 
 def resolve_problem(
@@ -49,22 +64,17 @@ def resolve_problem(
         raise ValueError("element count must be a power of two")
     p = bits // 2
     q = bits - p
-    if layout == "2d":
-        if n % 2:
-            raise ValueError("2d layout needs an even cube dimension")
-        before = pt.two_dim_cyclic(p, q, n // 2, n // 2)
-        after = (
-            None if p == q else pt.two_dim_cyclic(q, p, n // 2, n // 2)
-        )
-    elif layout == "1d-rows":
-        before = pt.row_consecutive(p, q, n)
-        after = None if p == q else pt.row_consecutive(q, p, n)
-    elif layout == "1d-cols":
-        before = pt.column_cyclic(p, q, n)
-        after = None if p == q else pt.column_cyclic(q, p, n)
-    else:
+    if layout == "2d" and n % 2:
+        raise ValueError("2d layout needs an even cube dimension")
+    partitions = {
+        "2d": lambda r, c: pt.two_dim_cyclic(r, c, n // 2, n // 2),
+        "1d-rows": lambda r, c: pt.row_consecutive(r, c, n),
+        "1d-cols": lambda r, c: pt.column_cyclic(r, c, n),
+    }
+    if layout not in partitions:
         raise ValueError(f"unknown layout {layout!r}")
-    return before, after
+    partition = partitions[layout]
+    return partition(p, q), None if p == q else partition(q, p)
 
 
 @dataclass(frozen=True)
@@ -96,13 +106,7 @@ class BatchRequest:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "BatchRequest":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(
-                f"unknown batch request field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**d)
+        return strict_from_dict(cls, d, "batch request")
 
     def machine_params(self) -> MachineParams:
         from repro.machine.params import PortModel
@@ -167,6 +171,25 @@ class ResolvedRequest:
     def problem(self) -> BatchRequest:
         return getattr(self.request, "problem", self.request)
 
+    @property
+    def target(self) -> Layout:
+        """``after``, or the planner's default when that is ``None``."""
+        from repro.transpose.planner import default_after_layout
+
+        if self.after is not None:
+            return self.after
+        return default_after_layout(self.before)
+
+    def pipeline(self):
+        """The :class:`~repro.workloads.Pipeline` a workload request names."""
+        from repro.workloads import build_pipeline
+
+        problem = self.problem
+        return build_pipeline(
+            self.workload, self.params.n, layout=problem.layout,
+            elements=problem.elements,
+        )
+
 
 def resolve_request(request) -> ResolvedRequest:
     """Map a request to machine/layouts/tier/plan-key, validating it.
@@ -179,17 +202,12 @@ def resolve_request(request) -> ResolvedRequest:
     cube-only tier on another topology resolves to ``routed-universal``
     and is not a fault degradation.
     """
-    from repro.topology import parse_topology
+    from repro.topology import topology_for
     from repro.transpose.planner import default_after_layout, resolve_tier
 
     problem = getattr(request, "problem", request)
     params = problem.machine_params()
-    topo = parse_topology(problem.topology, problem.n)
-    if topo.num_nodes != 1 << problem.n:
-        raise ValueError(
-            f"topology {topo.spec!r} has {topo.num_nodes} nodes but the "
-            f"request needs 2^{problem.n} = {1 << problem.n}"
-        )
+    topo = topology_for(problem.topology, problem.n)
     on_cube = topo.name == "cube"
     if problem.workload:
         from repro.workloads import build_pipeline
@@ -199,12 +217,16 @@ def resolve_request(request) -> ResolvedRequest:
                 "workload pipelines require the cube topology "
                 f"(requested {topo.spec!r})"
             )
-        pipeline = build_pipeline(
-            problem.workload,
-            problem.n,
-            layout=problem.layout,
-            elements=problem.elements,
-        )
+        try:
+            pipeline = build_pipeline(
+                problem.workload,
+                problem.n,
+                layout=problem.layout,
+                elements=problem.elements,
+            )
+        except ValueError as exc:
+            exc.field = "workload"
+            raise
         before, after = pipeline.before, pipeline.after
         algorithm = pipeline.algorithm
         key = pipeline.key(params)
@@ -221,9 +243,13 @@ def resolve_request(request) -> ResolvedRequest:
         elements = problem.elements
     faults = None
     if problem.faults:
-        faults = FaultPlan.from_spec(
-            problem.n, problem.faults, topology=None if on_cube else topo
-        )
+        try:
+            faults = FaultPlan.from_spec(
+                problem.n, problem.faults, topology=None if on_cube else topo
+            )
+        except ValueError as exc:
+            exc.field = "faults"
+            raise
     return ResolvedRequest(
         request=request,
         params=params,
@@ -343,14 +369,15 @@ class BatchReport:
 
 
 def run_batch(
-    requests: Iterable[BatchRequest],
+    requests: Iterable[BatchRequest | ResolvedRequest],
     *,
     cache: PlanCache | None = None,
     recovery=None,
 ) -> BatchReport:
     """Serve every request through :func:`repro.plans.serve.serve`.
 
-    Requests are resolved with :func:`resolve_request` — ``auto`` goes
+    Requests not yet resolved are resolved with
+    :func:`resolve_request` — ``auto`` goes
     through the planner's §9 selection *before* keying, so an explicit
     request for the same strategy and an ``auto`` request share one
     cached plan — and served against the shared ``cache``, compiling on
@@ -368,7 +395,9 @@ def run_batch(
     report = BatchReport()
     for index, req in enumerate(requests):
         started = perf_counter()
-        resolved = resolve_request(req)
+        resolved = (
+            req if isinstance(req, ResolvedRequest) else resolve_request(req)
+        )
         served = serve(resolved, cache=cache, recovery=recovery)
         report.outcomes.append(
             BatchOutcome(

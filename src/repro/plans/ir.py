@@ -191,9 +191,41 @@ class MachineSpec:
             d["name"] = self.name
         return d
 
+    def interconnect(self):
+        """The :class:`~repro.topology.base.Topology` this spec names.
+
+        Raises :class:`PlanError` when the spec does not parse or its
+        node count is not ``2**n``.
+        """
+        from repro.topology import TopologyError, topology_for
+
+        try:
+            return topology_for(self.topology, self.n)
+        except TopologyError as exc:
+            raise PlanError(f"bad plan topology: {exc}") from exc
+
+    def network(self, faults: str | None = None):
+        """A fresh network on this machine and its interconnect.
+
+        ``faults`` is a :meth:`~repro.machine.faults.FaultPlan.from_spec`
+        string drawn over that interconnect (:class:`ValueError` when it
+        is malformed).
+        """
+        from repro.machine.engine import CubeNetwork
+        from repro.machine.faults import FaultPlan
+
+        topo = self.interconnect()
+        plan = None
+        if faults:
+            plan = FaultPlan.from_spec(
+                self.n, faults, topology=None if topo.name == "cube" else topo
+            )
+        return CubeNetwork(self.to_params(), faults=plan, topology=topo)
+
     @classmethod
     def from_dict(cls, d: Mapping) -> "MachineSpec":
-        return cls(
+        """Parse a serialized spec; an invalid topology is a PlanError."""
+        spec = cls(
             n=d["n"],
             tau=d["tau"],
             t_c=d["t_c"],
@@ -204,6 +236,8 @@ class MachineSpec:
             name=d.get("name", "custom"),
             topology=d.get("topology", "cube"),
         )
+        spec.interconnect()
+        return spec
 
 
 @dataclass(frozen=True)

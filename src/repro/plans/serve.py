@@ -2,9 +2,10 @@
 
 :func:`serve` is the one request path.  The batch runner, the server's
 workers, the baseline gate, the chaos soak and ``repro run --workload``
-all call it with a :class:`~repro.plans.batch.ResolvedRequest`.  It runs
-an ordered tuple of *stages* chosen from the request
-(:func:`escalation`):
+all call it with a :class:`~repro.plans.batch.ResolvedRequest`; its
+cache misses compile through :func:`compile_plan`, which ``repro plan``
+calls too.  It runs an ordered tuple of *stages* chosen from the
+request (:func:`escalation`):
 
 ============================================  ========================
 request                                       stages
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 from repro.machine.engine import CubeNetwork
 from repro.machine.faults import (
@@ -63,7 +65,7 @@ from repro.recovery.executor import (
 )
 from repro.recovery.policy import RecoveryPolicy
 
-__all__ = ["Served", "escalation", "serve"]
+__all__ = ["Served", "compile_plan", "escalation", "serve"]
 
 #: Failures that hand a request to its next stage.
 _ESCALATES = (FaultError, RoutingStalledError, RecoveryFailedError)
@@ -159,6 +161,27 @@ def serve(
     return served
 
 
+def compile_plan(resolved: ResolvedRequest, tier: str | None = None):
+    """Compile ``resolved``'s :class:`~repro.plans.ir.CompiledPlan`.
+
+    ``tier`` overrides the resolved tier (the degrade stage's survivor).
+    This is the one compile recipe, so a plan key names one document
+    whoever compiles it: :func:`serve` on a cache miss, or
+    ``repro plan``.
+    """
+    if resolved.workload is not None:
+        return resolved.pipeline().compile(resolved.params)[0]
+    from repro.plans.recorder import capture_transpose, synthetic_matrix
+    from repro.topology import parse_topology
+
+    _, plan = capture_transpose(
+        resolved.params, synthetic_matrix(resolved.before),
+        resolved.target, algorithm=tier or resolved.algorithm,
+        topology=parse_topology(resolved.topology, resolved.params.n),
+    )
+    return plan
+
+
 class _Run:
     """State one :func:`serve` call threads through its stages."""
 
@@ -202,7 +225,7 @@ class _Run:
         key = resolved.key
         if self.tier != resolved.algorithm:
             key = plan_key(
-                resolved.params, resolved.before, self._target(), self.tier,
+                resolved.params, resolved.before, resolved.target, self.tier,
                 topology=self.topo.spec,
             )
         traced = self.instr.traced
@@ -211,42 +234,16 @@ class _Run:
             if traced
             else nullcontext()
         ) as span:
+            compile = partial(compile_plan, resolved, self.tier)
             if self.cache is None:
-                plan, self.cache_hit = self._compile(), False
+                plan, self.cache_hit = compile(), False
             else:
                 plan, self.cache_hit = self.cache.get_or_compile(
-                    key, self._compile,
+                    key, compile,
                     observer=self.instr if self.instr.enabled else None,
                 )
             if traced:
                 span.annotate(cache_hit=self.cache_hit)
-        return plan
-
-    def _target(self):
-        from repro.transpose.planner import default_after_layout
-
-        resolved = self.resolved
-        if resolved.after is not None:
-            return resolved.after
-        return default_after_layout(resolved.before)
-
-    def _compile(self):
-        resolved = self.resolved
-        if resolved.workload is not None:
-            from repro.workloads import build_pipeline
-
-            problem = resolved.problem
-            pipeline = build_pipeline(
-                resolved.workload, resolved.params.n,
-                layout=problem.layout, elements=problem.elements,
-            )
-            return pipeline.compile(resolved.params)[0]
-        from repro.plans.recorder import capture_transpose, synthetic_matrix
-
-        _, plan = capture_transpose(
-            resolved.params, synthetic_matrix(resolved.before),
-            self._target(), algorithm=self.tier, topology=self.topo,
-        )
         return plan
 
     def served(self, algorithm, stats, resolved, **extra) -> Served:

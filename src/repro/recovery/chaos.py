@@ -37,7 +37,7 @@ from repro.machine.faults import (
     RoutingStalledError,
 )
 from repro.machine.params import MachineParams
-from repro.plans.batch import BatchRequest, resolve_problem, resolve_request
+from repro.plans.batch import BatchRequest, resolve_request
 from repro.plans.cache import PlanCache
 from repro.plans.recorder import RecordingNetwork, synthetic_matrix
 from repro.recovery.checkpoint import CheckpointManager
@@ -261,21 +261,16 @@ def run_chaos(
     the cube: ``replay`` and ``cached`` exercise checkpoint surgery and
     resume-based serving, which rewrite cube schedules specifically.
     """
-    from repro.topology import parse_topology
+    from repro.topology import topology_for
 
     for mode in modes:
         if mode not in MODES:
             raise ValueError(
                 f"unknown chaos mode {mode!r}; choose from {MODES}"
             )
-    topo = parse_topology(topology, n)
+    topo = topology_for(topology, n)
     on_cube = topo.name == "cube"
     if not on_cube:
-        if topo.num_nodes != 1 << n:
-            raise ValueError(
-                f"topology {topo.spec!r} has {topo.num_nodes} nodes but the "
-                f"soak needs 2^{n} = {1 << n}"
-            )
         off_cube = [m for m in modes if m != "live"]
         if off_cube:
             raise ValueError(
@@ -289,19 +284,24 @@ def run_chaos(
         seed_list = list(seeds)
     if policy is None:
         policy = RecoveryPolicy()
+    # The tier and plan key do not depend on the fault plan, so one
+    # resolution serves every trial, each with its own faults.  The
+    # run-local cache only ever holds ``params``' plans.
+    request = resolve_request(BatchRequest(
+        elements=elements, n=n, layout=layout, machine="cm",
+        algorithm=algorithm,
+    ))
     if params is None:
-        from repro.machine.presets import connection_machine
-
-        params = connection_machine(n)
-    before, after = resolve_problem(n, elements, layout)
-    target = after
+        params = request.params
+    request = replace(request, params=params)
+    before, target = request.before, request.after
 
     # One clean capture with a real-payload ledger feeds every replay
     # trial; the clean outcome is the bit-identity reference.  Only
     # the replay mode needs it.
     plan = payloads = clean_outcome = None
     if "replay" in modes:
-        from repro.transpose.planner import default_after_layout, transpose
+        from repro.transpose.planner import transpose
 
         recorder = RecordingNetwork(params, record_payloads=True)
         matrix = synthetic_matrix(before)
@@ -311,9 +311,7 @@ def run_chaos(
         plan = recorder.compile(
             algorithm=clean_result.algorithm,
             before=before,
-            after=target
-            if target is not None
-            else default_after_layout(before),
+            after=request.target,
             requested=algorithm,
         )
         payloads = recorder.payloads
@@ -322,16 +320,6 @@ def run_chaos(
         )
 
     cache = PlanCache(capacity=32)
-    # The tier and plan key do not depend on the fault plan, so one
-    # resolution serves every cached trial, each with its own faults.
-    # The run-local cache only ever holds ``params``' plans.
-    request = replace(
-        resolve_request(BatchRequest(
-            elements=elements, n=n, layout=layout, machine="cm",
-            algorithm=algorithm,
-        )),
-        params=params,
-    ) if "cached" in modes else None
     report = ChaosReport(
         n=n,
         elements=elements,

@@ -26,6 +26,7 @@ from repro.service.loadgen import (
     LoadSpec,
     build_workload,
     deterministic_counters,
+    drive,
     run_loadgen,
     solo_fingerprint,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "WorkerCrashed",
     "build_workload",
     "deterministic_counters",
+    "drive",
     "percentile",
     "resolve_request",
     "run_loadgen",

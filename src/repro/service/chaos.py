@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.plans.batch import strict_from_dict
 from repro.service.loadgen import LoadSpec, build_workload, solo_fingerprint
 from repro.service.request import TransposeRequest
 from repro.service.resilience import WorkerCrashed
@@ -83,14 +84,7 @@ class ServiceChaosSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ServiceChaosSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(
-                "unknown service chaos field(s): "
-                + ", ".join(sorted(unknown))
-            )
-        return cls(**d)
+        return strict_from_dict(cls, d, "service chaos")
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}

@@ -35,7 +35,7 @@ from typing import Mapping
 
 from repro.machine.engine import CubeNetwork
 from repro.obs.ops import format_prometheus
-from repro.plans.batch import BatchRequest, resolve_request
+from repro.plans.batch import BatchRequest, resolve_request, strict_from_dict
 from repro.plans.recorder import synthetic_matrix
 from repro.plans.serve import serve
 from repro.service.request import (
@@ -50,6 +50,7 @@ __all__ = [
     "LoadReport",
     "LoadSpec",
     "deterministic_counters",
+    "drive",
     "run_loadgen",
     "solo_fingerprint",
     "solo_payload_check",
@@ -118,13 +119,7 @@ class LoadSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "LoadSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(
-                f"unknown loadgen field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**d)
+        return strict_from_dict(cls, d, "loadgen")
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -217,47 +212,27 @@ def solo_payload_check(request: TransposeRequest) -> dict:
 
     import numpy as np
 
-    from repro.transpose.planner import default_after_layout, transpose
+    from repro.transpose.planner import transpose
 
     resolved = resolve_request(request)
+    network = CubeNetwork(resolved.params)
     if resolved.workload is not None:
-        from repro.workloads import build_pipeline
-
-        pipeline = build_pipeline(
-            request.problem.workload,
-            request.problem.n,
-            layout=request.problem.layout,
-            elements=request.problem.elements,
-        )
+        pipeline = resolved.pipeline()
         rows, cols = pipeline.shape.rows, pipeline.shape.cols
         original = np.arange(rows * cols, dtype=np.float64).reshape(
             rows, cols
         )
-        network = CubeNetwork(resolved.params)
         served = pipeline.execute(network, original)
-        served_bytes = np.ascontiguousarray(served).tobytes()
-        expected_bytes = np.ascontiguousarray(
-            pipeline.reference(original)
-        ).tobytes()
-        served_crc = zlib.crc32(served_bytes)
-        expected_crc = zlib.crc32(expected_bytes)
-        return {
-            "ok": served_crc == expected_crc
-            and served_bytes == expected_bytes,
-            "served_crc": served_crc,
-            "expected_crc": expected_crc,
-        }
-    target = (
-        resolved.after
-        if resolved.after is not None
-        else default_after_layout(resolved.before)
-    )
-    matrix = synthetic_matrix(resolved.before)
-    original = matrix.to_global()
-    network = CubeNetwork(resolved.params)
-    result = transpose(network, matrix, target, algorithm=resolved.algorithm)
-    served_bytes = np.ascontiguousarray(result.matrix.to_global()).tobytes()
-    expected_bytes = np.ascontiguousarray(original.T).tobytes()
+        expected = pipeline.reference(original)
+    else:
+        matrix = synthetic_matrix(resolved.before)
+        original = matrix.to_global()
+        result = transpose(
+            network, matrix, resolved.after, algorithm=resolved.algorithm
+        )
+        served, expected = result.matrix.to_global(), original.T
+    served_bytes = np.ascontiguousarray(served).tobytes()
+    expected_bytes = np.ascontiguousarray(expected).tobytes()
     served_crc = zlib.crc32(served_bytes)
     expected_crc = zlib.crc32(expected_bytes)
     return {
@@ -395,6 +370,20 @@ def _drive_open(
         time.sleep(rng.expovariate(spec.rate))
 
 
+def drive(
+    server: TransposeServer, requests: list[TransposeRequest], spec: LoadSpec
+) -> tuple[int, int]:
+    """Submit ``requests`` to a running server in ``spec.mode``.
+
+    Returns ``(expired, client_errors)`` as :func:`_drive_closed` counts
+    them; the open loop never waits, so it reports ``(0, 0)``.
+    """
+    if spec.mode == "closed":
+        return _drive_closed(server, requests, spec)
+    _drive_open(server, requests, spec)
+    return 0, 0
+
+
 def _verify(
     spec: LoadSpec,
     requests: list[TransposeRequest],
@@ -454,12 +443,8 @@ def run_loadgen(
     """Drive a server with the seeded workload and verify a sample."""
     server = TransposeServer(config)
     requests = build_workload(spec)
-    expired = client_errors = 0
     with server:
-        if spec.mode == "closed":
-            expired, client_errors = _drive_closed(server, requests, spec)
-        else:
-            _drive_open(server, requests, spec)
+        expired, client_errors = drive(server, requests, spec)
         server.drain()
     report = server.report()
     verified, violations, mismatches, payload_checked = _verify(

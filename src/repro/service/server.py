@@ -29,6 +29,7 @@ from repro.obs.instrumentation import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ops import BurnRateTracker, MetricsExporter
 from repro.obs.trace import TraceContext, merged_trace_document
+from repro.plans.batch import strict_from_dict
 from repro.plans.cache import PlanCache
 from repro.service.queue import AdmissionPolicy
 from repro.service.request import (
@@ -135,13 +136,7 @@ class ServerConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ServerConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(
-                f"unknown server config field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**d)
+        return strict_from_dict(cls, d, "server config")
 
     def admission_policy(self) -> AdmissionPolicy:
         return AdmissionPolicy(

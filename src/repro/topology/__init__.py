@@ -14,7 +14,8 @@ structural invariants — with three instances:
   ``D3(K, M)`` swapped dragonfly.
 
 :func:`parse_topology` turns CLI/request specs (``cube``,
-``torus:4x4x4``, ``mesh:8x8``, ``dragonfly:2,4``) into instances, and
+``torus:4x4x4``, ``mesh:8x8``, ``dragonfly:2,4``) into instances
+(:func:`topology_for` also holds them to an ``n``-cube's node count), and
 :func:`repro.topology.capabilities.supported_algorithms` tells the
 planner which ladder tiers survive on each (routed-universal is the
 floor everywhere).
@@ -40,6 +41,7 @@ __all__ = [
     "capability_table",
     "parse_topology",
     "supported_algorithms",
+    "topology_for",
 ]
 
 
@@ -101,3 +103,15 @@ def _int_field(spec: str, what: str, text: str) -> int:
             f"topology spec {spec!r}: {what} {text.strip()!r} is not an "
             "integer"
         ) from None
+
+
+def topology_for(spec: str | Topology | None, n: int) -> Topology:
+    """:func:`parse_topology`, held to the ``2**n`` nodes an ``n``-cube
+    problem addresses (:class:`TopologyError` otherwise)."""
+    topo = parse_topology(spec, n)
+    if topo.num_nodes != 1 << n:
+        raise TopologyError(
+            f"topology {topo.spec!r} has {topo.num_nodes} nodes but a "
+            f"{n}-cube problem needs 2^{n} = {1 << n}"
+        )
+    return topo

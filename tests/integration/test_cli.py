@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -342,6 +344,68 @@ class TestCliPlans:
 
     def test_batch_rejects_malformed_requests(self, tmp_path, capsys):
         reqs = tmp_path / "reqs.json"
-        reqs.write_text(json.dumps({"elements": 64}))
-        assert main(["batch", str(reqs)]) == 2
-        assert "cannot load requests" in capsys.readouterr().err
+        for doc in (
+            {"elements": 64},
+            # Well-formed JSON, but requests that cannot resolve: every
+            # one is resolved at load, before anything is served.
+            [{"elements": 3, "n": 4}],
+            [{"elements": 256, "n": 4}, {"machine": "bogus"}],
+        ):
+            reqs.write_text(json.dumps(doc))
+            assert main(["batch", str(reqs)]) == 2
+            captured = capsys.readouterr()
+            assert "cannot load requests" in captured.err
+            assert captured.out == ""
+
+    def test_plan_and_batch_write_one_document_per_key(
+        self, tmp_path, capsys
+    ):
+        plan_dir, batch_dir = tmp_path / "plan", tmp_path / "batch"
+        assert main(
+            ["plan", "-n", "4", "--elements", "256",
+             "--cache-dir", str(plan_dir)]
+        ) == 0
+        key = capsys.readouterr().out.strip()
+        reqs = tmp_path / "reqs.json"
+        reqs.write_text(json.dumps([{"elements": 256, "n": 4}]))
+        assert main(
+            ["batch", str(reqs), "--cache-dir", str(batch_dir)]
+        ) == 0
+        assert sorted(p.name for p in batch_dir.iterdir()) == [f"{key}.json"]
+        assert (plan_dir / f"{key}.json").read_bytes() == (
+            batch_dir / f"{key}.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "topology, n",
+        [("torus:bogus", 4), ("torus:4x4x4", 4)],
+        ids=["unparseable", "wrong-node-count"],
+    )
+    def test_replay_rejects_plan_with_bad_topology(
+        self, tmp_path, capsys, topology, n
+    ):
+        out = tmp_path / "plan.json"
+        assert main(
+            ["plan", "-n", str(n), "--elements", "256", "--out", str(out)]
+        ) == 0
+        doc = json.loads(out.read_text())
+        doc["machine"]["topology"] = topology
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 2
+        assert "cannot load plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "-n", "4", "--elements", "256", "--checkpoint-every", "-1"],
+            ["replay", "plan.json", "--checkpoint-every", "-2"],
+            ["batch", "reqs.json", "--cache-size", "0"],
+        ],
+        ids=["run-checkpoint", "replay-checkpoint", "batch-cache-size"],
+    )
+    def test_out_of_range_numeric_flags_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err

@@ -129,6 +129,17 @@ class TestDiskTier:
         assert cache.get("bad") is None
         assert cache.misses == 1
 
+    @pytest.mark.parametrize("topology", ["torus:bogus", "torus:4x4x4"])
+    def test_plan_with_invalid_topology_is_a_miss(self, tmp_path, topology):
+        import json
+
+        doc = _plan().to_json_dict()  # compiled for a 4-cube
+        doc["machine"]["topology"] = topology
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        cache = PlanCache(path=tmp_path)
+        assert cache.get("bad") is None
+        assert cache.misses == 1
+
     def test_memory_tier_serves_before_disk(self, tmp_path):
         plan = _plan()
         cache = PlanCache(path=tmp_path)

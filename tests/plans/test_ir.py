@@ -134,6 +134,19 @@ class TestValidation:
         with pytest.raises(PlanError, match="JSON object"):
             CompiledPlan.loads("[1, 2]")
 
+    @pytest.mark.parametrize(
+        "topology, match",
+        [("torus:bogus", "bad plan topology"), ("torus:4x4x4", "64 nodes")],
+    )
+    def test_invalid_topology_refused(self, topology, match):
+        _, plan = capture_transpose(
+            intel_ipsc(4), synthetic_matrix(pt.two_dim_cyclic(4, 4, 2, 2))
+        )
+        doc = plan.to_json_dict()
+        doc["machine"]["topology"] = topology
+        with pytest.raises(PlanError, match=match):
+            CompiledPlan.from_json_dict(doc)
+
     def test_canonical_key_numpy_ints_become_ints(self):
         key = canonical_key(("pp", np.int64(3), np.int32(1)))
         assert key == ("pp", 3, 1)
